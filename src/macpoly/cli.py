@@ -18,7 +18,7 @@ from multiprocessing import Pool
 from . import __version__
 from .crystal import two_column_kostka
 from .llt import llt_poly
-from .macdonald import macdonald, macdonald_in_x
+from .macdonald import DEFAULT_GUARD, macdonald, macdonald_in_x
 from .qtring import QT
 from .shapes import (
     Partition,
@@ -31,7 +31,6 @@ from .special import hall_littlewood_schur, integral_form_m_vec, jack_limit
 from .symfunc import XPoly, schur_expand, to_m_basis
 from .verify import SUITES, run_suite
 
-SINGLE_GUARD = 8
 TABLE_GUARD = 6
 VERIFY_GUARD = 6
 CACHE_SCHEMA = 1
@@ -50,6 +49,16 @@ def _guard(parser: argparse.ArgumentParser, n: int, limit: int, forced: bool) ->
         parser.error(
             f"size {n} exceeds the guard of {limit} cells; pass --force-guard to proceed"
         )
+
+
+def _at_least(least: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return integer
 
 
 def _coeff_term(c, label: str) -> str:
@@ -105,9 +114,9 @@ def _print_poly(f: XPoly, vec, n: int, basis: str, fmt: str, extra: dict) -> Non
 def _cmd_hmu(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
-    _guard(parser, n, SINGLE_GUARD, args.force_guard)
+    _guard(parser, n, DEFAULT_GUARD, args.force_guard)
+    nvars = args.vars or max(n, 1)
     res = macdonald(mu, guard=max(n, 1))
-    nvars = args.vars if args.vars is not None else max(n, 1)
     if args.basis == "x":
         f = res.x_poly if nvars == n else macdonald_in_x(mu, nvars)
         vec = None
@@ -142,14 +151,21 @@ def _compute_table(n: int, workers: int) -> dict:
 
 
 def _load_cached_table(path: str, n: int) -> dict | None:
+    """The cached payload, or None unless it is a well-formed table for n."""
+    mus = [list(mu) for mu in partitions(n)]
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, ValueError):
+        table = payload["table"]
+        ok = (
+            (payload["schema"], payload["n"], payload["partitions"]) == (CACHE_SCHEMA, n, mus)
+            and len(table) == len(mus)
+            and all(len(row) == len(mus) for row in table)
+            and all(QT.from_json(entry).to_json() == entry for row in table for entry in row)
+        )
+    except (OSError, LookupError, TypeError, ValueError):
         return None
-    if payload.get("schema") != CACHE_SCHEMA or payload.get("n") != n:
-        return None
-    return payload
+    return payload if ok else None
 
 
 def _store_table(path: str, payload: dict) -> None:
@@ -228,13 +244,13 @@ def _parse_descents(parser, text: str):
 def _cmd_llt(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
-    _guard(parser, n, SINGLE_GUARD, args.force_guard)
+    _guard(parser, n, DEFAULT_GUARD, args.force_guard)
     descents = _parse_descents(parser, args.descents)
     try:
         shapes = ribbon_tuple(mu, descents)
     except ValueError as exc:
         parser.error(str(exc))
-    nvars = args.vars if args.vars is not None else max(n, 1)
+    nvars = args.vars or max(n, 1)
     f = llt_poly(shapes, nvars)
     if args.basis == "schur":
         if nvars < n:
@@ -249,10 +265,10 @@ def _cmd_llt(parser, args) -> int:
 def _cmd_jack(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
-    _guard(parser, n, SINGLE_GUARD, args.force_guard)
+    _guard(parser, n, DEFAULT_GUARD, args.force_guard)
     if args.alpha < 1:
         parser.error("alpha must be a positive integer")
-    nvars = args.vars if args.vars is not None else max(n, 1)
+    nvars = args.vars or max(n, 1)
     f = jack_limit(mu, nvars, args.alpha)
     if args.basis == "m":
         if nvars < n:
@@ -267,8 +283,8 @@ def _cmd_jack(parser, args) -> int:
 def _cmd_jmu(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
-    _guard(parser, n, SINGLE_GUARD, args.force_guard)
-    nvars = args.vars if args.vars is not None else max(n, 1)
+    _guard(parser, n, DEFAULT_GUARD, args.force_guard)
+    nvars = args.vars or max(n, 1)
     if nvars < n:
         parser.error(f"monomial output needs at least {n} variables")
     vec = integral_form_m_vec(mu, nvars)
@@ -279,7 +295,7 @@ def _cmd_jmu(parser, args) -> int:
 def _cmd_hall_littlewood(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
-    _guard(parser, n, SINGLE_GUARD, args.force_guard)
+    _guard(parser, n, DEFAULT_GUARD, args.force_guard)
     vec = hall_littlewood_schur(mu)
     _print_poly(None, vec, n, "schur", args.format, {"mu": list(mu)})
     return 0
@@ -288,7 +304,7 @@ def _cmd_hall_littlewood(parser, args) -> int:
 def _cmd_two_column(parser, args) -> int:
     lam = _parse_mu(parser, args.lam)
     mu = _parse_mu(parser, args.mu)
-    _guard(parser, sum(mu), SINGLE_GUARD, args.force_guard)
+    _guard(parser, sum(mu), DEFAULT_GUARD, args.force_guard)
     if mu and mu[0] > 2:
         parser.error(f"shape {format_partition(mu)} has more than two columns")
     if sum(lam) != sum(mu):
@@ -340,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--force-guard", action="store_true", help="lift the size guard")
         if vars_flag:
-            p.add_argument("--vars", type=int, default=None, help="number of x variables")
+            p.add_argument("--vars", type=_at_least(1), default=None, help="number of x variables")
 
     p = sub.add_parser("hmu", help="modified Macdonald polynomial of one shape")
     common(p)
@@ -384,12 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named identity suite")
     p.add_argument("suite", choices=("all",) + tuple(sorted(SUITES)))
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    # each bound's least value that leaves its checks something to run
+    p.add_argument("--n-max", type=_at_least(1), default=None)
+    p.add_argument("--samples", type=_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--alphabet", type=int, default=None)
-    p.add_argument("--word-len", type=int, default=None)
-    p.add_argument("--beta-len", type=int, default=None)
+    p.add_argument("--alphabet", type=_at_least(1), default=None)
+    p.add_argument("--word-len", type=_at_least(1), default=None)
+    p.add_argument("--beta-len", type=_at_least(2), default=None)
     p.add_argument("--force-guard", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 

@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from .qtring import QT
 from .shapes import (
     Cell,
     Partition,
@@ -34,6 +35,8 @@ ORDER1 = "interleaved"
 ORDER2 = "bars_on_top"
 
 LetterOrder = str | Callable[[int], tuple]
+# (v, sign, a, b): in a filling sum the letter stands for sign * q^a t^b x_(v+1)
+Weight = tuple[int, int, int, int]
 
 
 def letter_key(x: int, order: LetterOrder = ORDER1):
@@ -179,7 +182,7 @@ def filling_from_json(data: dict) -> Filling:
 
 
 # ---------------------------------------------------------------------------
-# word-level statistics (used by the hot enumeration loops)
+# word-level statistics
 
 def positive_word_statistics(word, sd: ShapeData) -> tuple[int, int]:
     """(maj, inv) for a word of positive letters; plain > is the comparison."""
@@ -350,3 +353,71 @@ def super_fillings(
     letters = super_letters(npos, nneg, order)
     for word in product(letters, repeat=sum(mu)):
         yield Filling(mu, word)
+
+
+def filling_sum(
+    sd: ShapeData,
+    alphabet: dict[int, Weight],
+    order: LetterOrder,
+    keep: Callable[[Filling], bool] | None = None,
+) -> dict[tuple[int, ...], QT]:
+    """Sum of q^inv t^maj times the entry weights over the fillings of sd.mu
+    with letters from alphabet (those keep accepts, when keep is given), as
+    {x exponent vector: nonzero coefficient}. A descent cell p adds
+    sd.legs[p] + 1 to maj and takes sd.arms[p] from inv; callers may pass
+    other cell weights through sd._replace.
+
+    Each filling is a word in reading order whose letter of rank r is coded
+    2r, or 2r + 1 when barred, so that I(x, y) is the test x >= y | 1. The
+    weights of a word depend only on its content: they are multiplied out
+    once per content."""
+    ranked = sorted(alphabet, key=lambda x: letter_key(x, order))
+    keys = [letter_key(x, order) for x in ranked]
+    if any(a == b for a, b in zip(keys, keys[1:])):
+        raise ValueError("the letter order ties two distinct letters")
+    letter = {2 * r + (x < 0): x for r, x in enumerate(ranked)}
+    nvars = 1 + max((w[0] for w in alphabet.values()), default=-1)
+    n = len(sd.cells)
+    descents = tuple(
+        (p, b, sd.legs[p] + 1, sd.arms[p]) for p, b in enumerate(sd.below) if b >= 0
+    )
+    pairs = sd.attack_pairs
+    words = product(letter, repeat=n)
+    if keep is not None:
+        words = (w for w in words if keep(Filling(sd.mu, [letter[v] for v in w])))
+    # a content as one integer: the number of entries coded v is its digit v in base n + 1
+    digit = [(n + 1) ** v for v in range(2 * len(letter))]
+    by_content: dict[int, tuple] = {}
+    acc: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for word in words:
+        content = sum(map(digit.__getitem__, word))
+        group = by_content.get(content)
+        if group is None:
+            exps = [0] * nvars
+            sign, inv, maj = 1, 0, 0
+            for v in word:
+                var, s, a, b = alphabet[letter[v]]
+                exps[var] += 1
+                sign, inv, maj = sign * s, inv + a, maj + b
+            group = by_content[content] = (acc.setdefault(tuple(exps), {}), sign, inv, maj)
+        inner, sign, inv, maj = group
+        for p, b, lp, a in descents:
+            if word[p] >= word[b] | 1:
+                maj += lp
+                inv -= a
+        for p, p2 in pairs:
+            if word[p] >= word[p2] | 1:
+                inv += 1
+        key = (inv, maj)
+        inner[key] = inner.get(key, 0) + sign
+    return {e: c for e, d in acc.items() if (c := QT(d))}
+
+
+def abs_alphabet(
+    npos: int, nneg: int, plain: tuple[int, int, int], barred: tuple[int, int, int]
+) -> dict[int, Weight]:
+    """The letters 1..npos and 1~..nneg~, where k and k~ both mark x_k; k
+    carries the factor plain = (sign, q exponent, t exponent), k~ barred."""
+    alphabet = {k: (k - 1, *plain) for k in range(1, npos + 1)}
+    alphabet.update({-k: (k - 1, *barred) for k in range(1, nneg + 1)})
+    return alphabet

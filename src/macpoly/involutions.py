@@ -13,20 +13,19 @@ than its row index; its fixed points have |entry| >= row everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .fillings import (
     ORDER1,
     ORDER2,
     Cell,
     Filling,
+    filling_sum,
+    is_non_attacking,
     shape_data,
-    super_letters,
-    word_statistics,
 )
-from .qtring import QT
+from .macdonald import plethystic_alphabet
 from .shapes import Partition, check_partition
-from .symfunc import XPoly, monomial_exponents
+from .symfunc import XPoly
 
 
 @dataclass(frozen=True)
@@ -83,61 +82,28 @@ def row_bound_involution(filling: Filling) -> InvolutionStep:
     return InvolutionStep(filling, _flip(filling, u), sd.cells[u], pivot)
 
 
-def is_attack_fixed(filling: Filling) -> bool:
-    sd = shape_data(filling.shape)
-    w = filling.word
-    return all(abs(w[p]) != abs(w[p2]) for p, p2 in sd.attack_pairs)
-
-
 def is_row_bound_fixed(filling: Filling) -> bool:
     sd = shape_data(filling.shape)
     return all(abs(x) >= sd.row[p] for p, x in enumerate(filling.word))
 
 
 def _signed_sums(
-    mu: Partition, npos: int, nneg: int, order, q_side: bool, word_fixed
+    mu: Partition, npos: int, nneg: int, order, q_side: bool, is_fixed
 ) -> tuple[XPoly, XPoly]:
-    """Total and fixed-point-restricted signed sums in one sweep."""
-    mu = check_partition(mu)
-    sd = shape_data(mu)
-    nvars = max(npos, nneg)
-    letters = super_letters(npos, nneg, order)
-    total: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    fixed: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for word in product(letters, repeat=sum(mu)):
-        maj, inv = word_statistics(word, sd, order)
-        barred = sum(1 for x in word if x < 0)
-        plain = len(word) - barred
-        key = (plain + inv, maj) if q_side else (inv, plain + maj)
-        e = monomial_exponents(word, nvars)
-        sign = (-1) ** barred
-        inner = total.setdefault(e, {})
-        inner[key] = inner.get(key, 0) + sign
-        if word_fixed(word, sd):
-            inner = fixed.setdefault(e, {})
-            inner[key] = inner.get(key, 0) + sign
-
-    def as_poly(acc):
-        return XPoly(nvars, {e: QT(d) for e, d in acc.items()})
-
-    return as_poly(total), as_poly(fixed)
-
-
-def _word_attack_fixed(word, sd) -> bool:
-    return all(abs(word[p]) != abs(word[p2]) for p, p2 in sd.attack_pairs)
-
-
-def _word_row_bound_fixed(word, sd) -> bool:
-    return all(abs(x) >= sd.row[p] for p, x in enumerate(word))
+    """The signed sum over all fillings and over the fixed points only."""
+    sd = shape_data(check_partition(mu))
+    alphabet = plethystic_alphabet(npos, nneg, q_side)
+    total, fixed = (filling_sum(sd, alphabet, order, keep) for keep in (None, is_fixed))
+    return XPoly(max(npos, nneg), total), XPoly(max(npos, nneg), fixed)
 
 
 def attack_cancellation_holds(mu: Partition, npos: int, nneg: int) -> bool:
     """Non-fixed fillings cancel out of the signed q^(#plain+inv) t^maj sum."""
-    total, fixed = _signed_sums(mu, npos, nneg, ORDER1, True, _word_attack_fixed)
+    total, fixed = _signed_sums(mu, npos, nneg, ORDER1, True, is_non_attacking)
     return total == fixed
 
 
 def row_bound_cancellation_holds(mu: Partition, npos: int, nneg: int) -> bool:
     """Non-fixed fillings cancel out of the signed q^inv t^(#plain+maj) sum."""
-    total, fixed = _signed_sums(mu, npos, nneg, ORDER2, False, _word_row_bound_fixed)
+    total, fixed = _signed_sums(mu, npos, nneg, ORDER2, False, is_row_bound_fixed)
     return total == fixed

@@ -10,18 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Iterable
 
 from .fillings import (
     ORDER1,
     ORDER2,
     LetterOrder,
+    Weight,
+    abs_alphabet,
+    filling_sum,
     shape_data,
-    super_letters,
-    word_attack_inversions,
-    word_descent_positions,
-    word_statistics,
 )
 from .qtring import QT, elementary_coeffs
 from .shapes import (
@@ -35,40 +33,19 @@ from .shapes import (
     leg,
     partitions,
 )
-from .symfunc import (
-    XPoly,
-    monomial_exponents,
-    schur_expand,
-    super_exponents,
-    to_m_basis,
-)
+from .symfunc import XPoly, schur_expand, to_m_basis
 
 DEFAULT_GUARD = 8
 
 
+def _positive(nvars: int) -> dict[int, Weight]:
+    return {k: (k - 1, 1, 0, 0) for k in range(1, nvars + 1)}
+
+
 def macdonald_in_x(mu: Partition, nvars: int) -> XPoly:
     """Sum of q^inv t^maj x^sigma over all fillings with entries <= nvars."""
-    mu = check_partition(mu)
-    sd = shape_data(mu)
-    n = sum(mu)
-    below, legs, arms, attack_pairs = sd.below, sd.legs, sd.arms, sd.attack_pairs
-    acc: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for word in product(range(1, nvars + 1), repeat=n):
-        maj = armsum = pairs = 0
-        for p, b in enumerate(below):
-            if b >= 0 and word[p] > word[b]:
-                maj += legs[p] + 1
-                armsum += arms[p]
-        for p, p2 in attack_pairs:
-            if word[p] > word[p2]:
-                pairs += 1
-        counts = [0] * nvars
-        for x in word:
-            counts[x - 1] += 1
-        inner = acc.setdefault(tuple(counts), {})
-        key = (pairs - armsum, maj)
-        inner[key] = inner.get(key, 0) + 1
-    return XPoly(nvars, {e: QT(d) for e, d in acc.items()})
+    sd = shape_data(check_partition(mu))
+    return XPoly(nvars, filling_sum(sd, _positive(nvars), ORDER1))
 
 
 @dataclass(frozen=True)
@@ -122,15 +99,10 @@ def super_macdonald_in_xy(
     mu: Partition, npos: int, nneg: int, order: LetterOrder = ORDER1
 ) -> XPoly:
     """The signed-alphabet filling sum; x-block then y-block of variables."""
-    mu = check_partition(mu)
-    sd = shape_data(mu)
-    acc: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for word in product(super_letters(npos, nneg, order), repeat=sum(mu)):
-        maj, inv = word_statistics(word, sd, order)
-        e = super_exponents(word, npos, nneg)
-        inner = acc.setdefault(e, {})
-        inner[(inv, maj)] = inner.get((inv, maj), 0) + 1
-    return XPoly(npos + nneg, {e: QT(d) for e, d in acc.items()})
+    sd = shape_data(check_partition(mu))
+    alphabet = _positive(npos)
+    alphabet.update({-k: (npos + k - 1, 1, 0, 0) for k in range(1, nneg + 1)})
+    return XPoly(npos + nneg, filling_sum(sd, alphabet, order))
 
 
 def _check_descent_cells(mu: Partition, descents: Iterable[Cell]) -> frozenset[Cell]:
@@ -146,15 +118,16 @@ def _check_descent_cells(mu: Partition, descents: Iterable[Cell]) -> frozenset[C
 def descent_class_polys(mu: Partition, nvars: int) -> dict[frozenset[Cell], XPoly]:
     """For each descent-cell set D: the sum of q^|Inv| x^sigma over fillings
     with entries <= nvars whose descent set is exactly D."""
-    mu = check_partition(mu)
-    sd = shape_data(mu)
+    sd = shape_data(check_partition(mu))
+    n = len(sd.cells)
+    # leg 2^p - 1 and arm 0 on every cell p turn (inv, maj) into the number
+    # of attacking inversion pairs and the bit mask of the descent cells
+    masks = sd._replace(legs=tuple(2**p - 1 for p in range(n)), arms=(0,) * n)
     acc: dict[frozenset[Cell], dict[tuple[int, ...], dict[tuple[int, int], int]]] = {}
-    for word in product(range(1, nvars + 1), repeat=sum(mu)):
-        des = frozenset(sd.cells[p] for p in word_descent_positions(word, sd))
-        pairs = word_attack_inversions(word, sd)
-        e = monomial_exponents(word, nvars)
-        inner = acc.setdefault(des, {}).setdefault(e, {})
-        inner[(pairs, 0)] = inner.get((pairs, 0), 0) + 1
+    for e, c in filling_sum(masks, _positive(nvars), ORDER1).items():
+        for (pairs, mask), count in c.terms.items():
+            des = frozenset(cell for p, cell in enumerate(sd.cells) if mask >> p & 1)
+            acc.setdefault(des, {}).setdefault(e, {})[(pairs, 0)] = count
     return {
         des: XPoly(nvars, {e: QT(d) for e, d in by_exp.items()})
         for des, by_exp in acc.items()
@@ -166,17 +139,7 @@ def descent_class_poly(mu: Partition, descents: Iterable[Cell], nvars: int) -> X
     inversion pairs, with no arm correction and no t)."""
     mu = check_partition(mu)
     target = _check_descent_cells(mu, descents)
-    sd = shape_data(mu)
-    acc: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for word in product(range(1, nvars + 1), repeat=sum(mu)):
-        des = frozenset(sd.cells[p] for p in word_descent_positions(word, sd))
-        if des != target:
-            continue
-        pairs = word_attack_inversions(word, sd)
-        e = monomial_exponents(word, nvars)
-        inner = acc.setdefault(e, {})
-        inner[(pairs, 0)] = inner.get((pairs, 0), 0) + 1
-    return XPoly(nvars, {e: QT(d) for e, d in acc.items()})
+    return descent_class_polys(mu, nvars).get(target, XPoly.zero(nvars))
 
 
 def descent_class_weight(mu: Partition, descents: Iterable[Cell]) -> QT:
@@ -201,39 +164,25 @@ def plethysm_t_minus_one(mu: Partition, nvars: int) -> XPoly:
     return _signed_plethysm(mu, nvars, ORDER2, q_side=False)
 
 
+def plethystic_alphabet(npos: int, nneg: int, q_side: bool) -> dict[int, Weight]:
+    """The substitution X -> X(q-1) (q_side) or X(t-1) as letter weights:
+    the plain letter k stands for q x_k (or t x_k), the barred k~ for -x_k."""
+    return abs_alphabet(npos, nneg, (1, 1, 0) if q_side else (1, 0, 1), (-1, 0, 0))
+
+
 def _signed_plethysm(mu: Partition, nvars: int, order: LetterOrder, q_side: bool) -> XPoly:
-    mu = check_partition(mu)
-    sd = shape_data(mu)
-    letters = super_letters(nvars, nvars, order)
-    acc: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for word in product(letters, repeat=sum(mu)):
-        maj, inv = word_statistics(word, sd, order)
-        barred = sum(1 for x in word if x < 0)
-        plain = len(word) - barred
-        key = (plain + inv, maj) if q_side else (inv, plain + maj)
-        e = monomial_exponents(word, nvars)
-        inner = acc.setdefault(e, {})
-        inner[key] = inner.get(key, 0) + (-1) ** barred
-    return XPoly(nvars, {e: QT(d) for e, d in acc.items()})
+    sd = shape_data(check_partition(mu))
+    return XPoly(nvars, filling_sum(sd, plethystic_alphabet(nvars, nvars, q_side), order))
 
 
 def one_minus_u_coeffs(mu: Partition) -> list[QT]:
     """Coefficients of (-u)^d, d = 0..n, in the evaluation of the polynomial
     at the two-letter alphabet {1, 1~} with the barred letter carrying -u."""
-    mu = check_partition(mu)
-    sd = shape_data(mu)
-    n = sum(mu)
-    buckets: list[dict[tuple[int, int], int]] = [{} for _ in range(n + 1)]
-    for word in product((1, -1), repeat=n):
-        maj, inv = word_statistics(word, sd, ORDER1)
-        d = sum(1 for x in word if x < 0)
-        buckets[d][(inv, maj)] = buckets[d].get((inv, maj), 0) + 1
-    return [QT(b) for b in buckets]
-
-
-def principal_monomials(mu: Partition) -> tuple[tuple[int, int], ...]:
-    """The multiset of q^(j-1) t^(i-1) monomial exponents over the cells."""
-    return cell_biexponents(mu)
+    sd = shape_data(check_partition(mu))
+    n = len(sd.cells)
+    # x_1 marks the plain entries and x_2 the barred ones
+    sums = filling_sum(sd, {1: (0, 1, 0, 0), -1: (1, 1, 0, 0)}, ORDER1)
+    return [sums.get((n - d, d), QT.zero()) for d in range(n + 1)]
 
 
 def hook_schur_coeff(mu: Partition, d: int) -> QT:

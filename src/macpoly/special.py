@@ -18,10 +18,10 @@ from typing import Iterable, Sequence
 from .fillings import (
     ORDER1,
     Filling,
+    abs_alphabet,
+    filling_sum,
     positive_word_statistics,
     shape_data,
-    super_letters,
-    word_statistics,
 )
 from .macdonald import macdonald
 from .qtring import QT, AlphaPoly
@@ -179,19 +179,13 @@ def integral_form_from_macdonald(mu: Partition, nvars: int) -> XPoly:
     letters carry -t x, the maj parameter is inverted, and the whole sum is
     rescaled by t^n(mu); the result must be Laurent-free."""
     mu = check_partition(mu)
-    sd = shape_data(mu)
     nmu = weighted_size(mu)
-    acc: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for word in product(super_letters(nvars, nvars, ORDER1), repeat=sum(mu)):
-        maj, inv = word_statistics(word, sd, ORDER1)
-        barred = sum(1 for x in word if x < 0)
-        e = monomial_exponents(word, nvars)
-        inner = acc.setdefault(e, {})
-        key = (inv, nmu + barred - maj)
-        inner[key] = inner.get(key, 0) + (-1) ** barred
-    out = XPoly(nvars, {e: QT(d) for e, d in acc.items()})
-    bad = [c for c in out.terms.values() if not c.is_polynomial()]
-    if bad:
+    # barred letters weigh -x/t before t is inverted
+    sums = filling_sum(shape_data(mu), abs_alphabet(nvars, nvars, (1, 0, 0), (-1, 0, -1)), ORDER1)
+    out = XPoly(nvars, {
+        e: QT({(i, nmu - m): k for (i, m), k in c.terms.items()}) for e, c in sums.items()
+    })
+    if not all(c.is_polynomial() for c in out.terms.values()):
         raise RuntimeError(f"integral form for {mu} kept a negative exponent")
     return out
 

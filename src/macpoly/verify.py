@@ -28,13 +28,13 @@ from .fillings import (
     cocharge_word,
     descent_cells,
     inv,
+    is_non_attacking,
     maj,
     super_fillings,
 )
 from .involutions import (
     attack_cancellation_holds,
     attack_involution,
-    is_attack_fixed,
     is_row_bound_fixed,
     row_bound_cancellation_holds,
     row_bound_involution,
@@ -56,11 +56,11 @@ from .macdonald import (
     one_minus_u_coeffs,
     plethysm_q_minus_one,
     plethysm_t_minus_one,
-    principal_monomials,
 )
 from .qtring import QT, elementary_coeffs
 from .shapes import (
     Partition,
+    cell_biexponents,
     conjugate,
     dominance_leq,
     partitions,
@@ -100,7 +100,7 @@ def suite_axioms(n_max: int = 4) -> list[Check]:
             pos &= c.is_polynomial() and c.has_nonnegative_coefficients()
             counts &= c.sum_of_coefficients() == syt_count(lam)
         dual &= check_conjugate_duality(mu)
-        units &= one_minus_u_coeffs(mu) == elementary_coeffs(principal_monomials(mu))
+        units &= one_minus_u_coeffs(mu) == elementary_coeffs(cell_biexponents(mu))
         for d in range(n):
             hook = (n - d,) + (1,) * d
             hooks &= res.schur_vec.get(hook, QT.zero()) == hook_schur_coeff(mu, d)
@@ -128,7 +128,7 @@ def suite_involutions(n_max: int = 3, alphabet: int = 2) -> list[Check]:
         for f in super_fillings(mu, alphabet, alphabet):
             astep = attack_involution(f)
             invol &= attack_involution(astep.after).after == f
-            fixed_sets &= astep.is_fixed == is_attack_fixed(f)
+            fixed_sets &= astep.is_fixed == is_non_attacking(f)
             rstep = row_bound_involution(f)
             invol &= row_bound_involution(rstep.after).after == f
             fixed_sets &= rstep.is_fixed == is_row_bound_fixed(f)

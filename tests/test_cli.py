@@ -41,6 +41,18 @@ def test_hmu_x_basis_with_vars(capsys):
     assert out.strip() == "x1^2 + (1 + t)*x1*x2 + x2^2"
 
 
+@pytest.mark.parametrize("command", ["hmu", "llt", "jack", "jmu"])
+@pytest.mark.parametrize("nvars", ["-1", "0"])
+def test_vars_below_one_is_a_usage_error(capsys, command, nvars):
+    extra = {"hmu": ["--basis", "x"], "jack": ["--alpha", "1"]}.get(command, [])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--mu", "2,1", "--vars", nvars, *extra])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--vars: must be at least 1" in out.err
+
+
 def test_hmu_json(capsys):
     code, out, _ = run_cli(capsys, "hmu", "--mu", "2", "--format", "json")
     assert code == 0
@@ -126,6 +138,28 @@ def test_kostka_table_corrupt_cache_recomputes(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(cache_file.read_text())["schema"] == 1
+
+
+def test_kostka_table_cache_of_the_wrong_shape_recomputes(tmp_path, capsys):
+    cache_file = tmp_path / "kostka_2.json"
+    cache_file.write_text("[1, 2]")
+    code, out, _ = run_cli(capsys, "kostka-table", "--n", "2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out.strip().splitlines()[2].split() == ["1,1", "q", "t"]
+    assert json.loads(cache_file.read_text())["schema"] == 1
+
+
+def test_kostka_table_cache_with_a_malformed_entry_recomputes(tmp_path, capsys):
+    code, fresh, _ = run_cli(capsys, "kostka-table", "--n", "2", "--cache-dir", str(tmp_path))
+    cache_file = tmp_path / "kostka_2.json"
+    payload = json.loads(cache_file.read_text())
+    payload["table"][1][0] = "x"
+    cache_file.write_text(json.dumps(payload))
+    assert cli._load_cached_table(str(cache_file), 2) is None
+    code, out, _ = run_cli(capsys, "kostka-table", "--n", "2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == fresh
+    assert cli._load_cached_table(str(cache_file), 2) is not None
 
 
 def test_kostka_table_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -223,6 +257,25 @@ def test_verify_suite_passes(capsys):
     lines = out.strip().splitlines()
     assert lines
     assert all(line.startswith("[PASS] axioms: ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "axioms", "--n-max", "0"],
+        ["verify", "llt", "--samples", "-1"],
+        ["verify", "llt", "--beta-len", "1"],
+        ["verify", "involutions", "--alphabet", "0"],
+        ["verify", "crystal", "--word-len", "0"],
+    ],
+)
+def test_verify_refuses_empty_ranges(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "[PASS]" not in out.out
+    assert "must be at least" in out.err
 
 
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):

@@ -6,13 +6,13 @@ from macpoly.fillings import (
     Filling,
     descent_cells,
     inv,
+    is_non_attacking,
     maj,
     super_fillings,
 )
 from macpoly.involutions import (
     attack_cancellation_holds,
     attack_involution,
-    is_attack_fixed,
     is_row_bound_fixed,
     row_bound_cancellation_holds,
     row_bound_involution,
@@ -42,7 +42,7 @@ def test_attack_involution_fixed_point():
     step = attack_involution(Filling((2,), (1, 2)))
     assert step.is_fixed
     assert step.after == step.before
-    assert is_attack_fixed(step.before)
+    assert is_non_attacking(step.before)
 
 
 def test_attack_involution_picks_the_smallest_value():
@@ -73,7 +73,7 @@ def test_attack_involution_is_an_involution_exhaustively():
     for mu in SHAPES:
         for f in super_fillings(mu, 2, 2, ORDER1):
             step = attack_involution(f)
-            assert step.is_fixed == is_attack_fixed(f)
+            assert step.is_fixed == is_non_attacking(f)
             again = attack_involution(step.after)
             assert again.after == f
             if not step.is_fixed:

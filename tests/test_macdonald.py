@@ -15,10 +15,10 @@ from macpoly.macdonald import (
     one_minus_u_coeffs,
     plethysm_q_minus_one,
     plethysm_t_minus_one,
-    principal_monomials,
     super_macdonald_in_xy,
 )
 from macpoly.qtring import QT, elementary_coeffs
+from macpoly.shapes import cell_biexponents
 from macpoly.symfunc import XPoly, to_m_basis
 
 
@@ -131,7 +131,7 @@ def test_plethysm_sides_swap_under_conjugation():
 
 
 def test_principal_monomials_shape_322():
-    monos = sorted(principal_monomials((3, 2, 2)))
+    monos = sorted(cell_biexponents((3, 2, 2)))
     assert monos == sorted(
         [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
     )
@@ -140,7 +140,7 @@ def test_principal_monomials_shape_322():
 def test_one_minus_u_coeffs_match_elementary_symmetric():
     for mu in ((2,), (1, 1), (2, 1), (3, 1), (2, 2)):
         coeffs = one_minus_u_coeffs(mu)
-        expected = elementary_coeffs(list(principal_monomials(mu)))
+        expected = elementary_coeffs(list(cell_biexponents(mu)))
         assert coeffs == expected
 
 
