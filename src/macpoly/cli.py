@@ -1,9 +1,14 @@
 """Command line front end.
 
-Sizes are guarded because every computation enumerates all fillings: a single
-shape is capped at 8 cells and whole tables at n = 6 unless --force-guard is
-given. Exit status is 0 on success, 1 when a verification suite reports a
-failure, and 2 for usage errors (including tripped guards).
+Sizes are guarded because every computation enumerates fillings: the Schur
+and monomial vectors (hmu --basis schur|m, kostka-table, hall-littlewood) sum
+over the n! standard fillings, while hmu --basis x, llt, jack, jmu and the
+signed sums of verify enumerate all n^n or (2n)^n words. A single shape is
+capped at 8 cells and whole tables at n = 6 unless --force-guard is given.
+kostka-table --workers N opens at most one process per column and per CPU.
+Exit status is 0 on success, 1 when a verification suite reports a failure
+or stdout is closed before the output is written (as by `| head`), and 2 for
+usage errors (including tripped guards).
 """
 
 from __future__ import annotations
@@ -134,6 +139,7 @@ def _kostka_column(mu: Partition) -> list:
 
 def _compute_table(n: int, workers: int) -> dict:
     mus = partitions(n)
+    workers = min(workers, len(mus), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
             columns = pool.map(_kostka_column, mus)
@@ -320,6 +326,9 @@ def _cmd_two_column(parser, args) -> int:
 def _cmd_verify(parser, args) -> int:
     if args.n_max is not None:
         _guard(parser, args.n_max, VERIFY_GUARD, args.force_guard)
+    # the crystal operators act on pairs of letters i, i + 1
+    if args.suite in ("crystal", "all") and args.alphabet is not None and args.alphabet < 2:
+        parser.error(f"argument --alphabet: the crystal suite needs at least 2, got {args.alphabet}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     bounds = {
         "n_max": args.n_max,
@@ -416,7 +425,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(parser, args)
+    try:
+        status = args.fn(parser, args)
+        # flush here, so that a closed pipe raises inside this block
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (as with `| head`): point stdout at /dev/null
+        # so that the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ through the reading order.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .qtring import QT
@@ -298,30 +298,37 @@ def is_standard(filling: Filling) -> bool:
     return sorted(filling.word) == list(range(1, len(filling.word) + 1))
 
 
-def standardize(filling: Filling, order: LetterOrder = ORDER1) -> Filling:
-    """The unique standard filling compatible with the order and tie rules.
-
-    Ties between equal positive letters are broken left to right along the
-    reading order; ties between equal barred letters right to left.
-    """
-    w = filling.word
+def standardize_word(word, order: LetterOrder = ORDER1) -> tuple[int, ...]:
+    """Rank the entries of a word into 1..n in the order: ties between equal
+    positive letters break left to right, between equal barred letters right
+    to left."""
     ranked = sorted(
-        range(len(w)),
-        key=lambda p: (letter_key(w[p], order), p if w[p] > 0 else -p),
+        range(len(word)),
+        key=lambda p: (letter_key(word[p], order), p if word[p] > 0 else -p),
     )
-    new = [0] * len(w)
+    out = [0] * len(word)
     for rank, p in enumerate(ranked, start=1):
-        new[p] = rank
-    return Filling(filling.shape, new)
+        out[p] = rank
+    return tuple(out)
+
+
+def word_inverse_descent_set(word) -> frozenset[int]:
+    """For a standard word: the i whose i+1 occurs earlier in the word."""
+    where = {x: p for p, x in enumerate(word)}
+    if sorted(where) != list(range(1, len(word) + 1)):
+        raise ValueError("inverse descent sets are defined for standard words")
+    return frozenset(i for i in range(1, len(word)) if where[i + 1] < where[i])
+
+
+def standardize(filling: Filling, order: LetterOrder = ORDER1) -> Filling:
+    """The unique standard filling compatible with the order and tie rules
+    (those of standardize_word along the reading order)."""
+    return Filling(filling.shape, standardize_word(filling.word, order))
 
 
 def inverse_descent_set(filling: Filling) -> frozenset[int]:
     """For a standard filling: the i whose i+1 occurs earlier in reading order."""
-    if not is_standard(filling):
-        raise ValueError("inverse descent sets are defined for standard fillings")
-    w = filling.word
-    where = {x: p for p, x in enumerate(w)}
-    return frozenset(i for i in range(1, len(w)) if where[i + 1] < where[i])
+    return word_inverse_descent_set(filling.word)
 
 
 def cocharge_word(filling: Filling) -> tuple[int, ...]:
@@ -355,6 +362,14 @@ def super_fillings(
         yield Filling(mu, word)
 
 
+def _descent_tests(sd: ShapeData) -> tuple[tuple[int, int, int, int], ...]:
+    """(p, position below p, maj weight leg + 1, arm) for every cell p that
+    has a cell below it: a descent at p adds the weight and takes the arm."""
+    return tuple(
+        (p, b, sd.legs[p] + 1, sd.arms[p]) for p, b in enumerate(sd.below) if b >= 0
+    )
+
+
 def filling_sum(
     sd: ShapeData,
     alphabet: dict[int, Weight],
@@ -378,9 +393,7 @@ def filling_sum(
     letter = {2 * r + (x < 0): x for r, x in enumerate(ranked)}
     nvars = 1 + max((w[0] for w in alphabet.values()), default=-1)
     n = len(sd.cells)
-    descents = tuple(
-        (p, b, sd.legs[p] + 1, sd.arms[p]) for p, b in enumerate(sd.below) if b >= 0
-    )
+    descents = _descent_tests(sd)
     pairs = sd.attack_pairs
     words = product(letter, repeat=n)
     if keep is not None:
@@ -411,6 +424,43 @@ def filling_sum(
         key = (inv, maj)
         inner[key] = inner.get(key, 0) + sign
     return {e: c for e, d in acc.items() if (c := QT(d))}
+
+
+def standard_filling_sum(sd: ShapeData) -> dict[int, QT]:
+    """Sum of q^inv t^maj over the standard fillings of sd.mu, by inverse
+    descent set: {mask: nonzero coefficient c_D}, where bit i - 1 of the mask
+    is set when i + 1 comes before i in reading order.
+
+    Standardization is a bijection from fillings to (standard filling, word
+    compatible with its inverse descent set D) that keeps inv and maj, so the
+    positive filling sum is the sum of c_D F_D over the n! standard fillings,
+    with F_D Gessel's fundamental quasisymmetric function. On standard words
+    I(x, y) is the test x > y."""
+    n = len(sd.cells)
+    descents = _descent_tests(sd)
+    pairs = sd.attack_pairs
+    counts: dict[tuple[int, int, int], int] = {}
+    for where in permutations(range(n)):
+        # where[v] is the position of the value v; word[p] the value at p
+        word = sorted(range(n), key=where.__getitem__)
+        mask = 0
+        for v in range(n - 1):
+            if where[v + 1] < where[v]:
+                mask |= 1 << v
+        inv = maj = 0
+        for p, b, lp, a in descents:
+            if word[p] > word[b]:
+                maj += lp
+                inv -= a
+        for p, p2 in pairs:
+            if word[p] > word[p2]:
+                inv += 1
+        key = (mask, inv, maj)
+        counts[key] = counts.get(key, 0) + 1
+    acc: dict[int, dict[tuple[int, int], int]] = {}
+    for (mask, inv, maj), count in counts.items():
+        acc.setdefault(mask, {})[(inv, maj)] = count
+    return {mask: QT(d) for mask, d in acc.items()}
 
 
 def abs_alphabet(

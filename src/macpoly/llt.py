@@ -17,7 +17,14 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .fillings import ORDER1, LetterOrder, indicator, letter_key, super_letters
+from .fillings import (
+    ORDER1,
+    LetterOrder,
+    indicator,
+    standardize_word as _standardize_word,
+    super_letters,
+    word_inverse_descent_set,
+)
 from .macdonald import descent_class_poly
 from .qtring import QT
 from .shapes import (
@@ -212,23 +219,15 @@ def standard_tuple_words(shapes: ShapeTuple) -> Iterator[tuple[int, ...]]:
 
 
 def standardize_word(word, td: TupleData, order: LetterOrder = ORDER1) -> tuple[int, ...]:
-    """Rank entries into 1..n: plain ties left to right, barred right to left."""
-    ranked = sorted(
-        range(len(word)),
-        key=lambda p: (letter_key(word[p], order), p if word[p] > 0 else -p),
-    )
-    out = [0] * len(word)
-    for rank, p in enumerate(ranked, start=1):
-        out[p] = rank
-    return tuple(out)
+    """Rank entries into 1..n: plain ties left to right, barred right to left.
+    The word is aligned with the content reading order of td."""
+    return _standardize_word(word, order)
 
 
 def tableau_descent_set(word, td: TupleData) -> frozenset[int]:
-    """For a standard word: the i whose i+1 occurs earlier in reading order."""
-    where = {x: p for p, x in enumerate(word)}
-    if sorted(where) != list(range(1, len(word) + 1)):
-        raise ValueError("descent sets are defined for standard words")
-    return frozenset(i for i in range(1, len(word)) if where[i + 1] < where[i])
+    """For a standard word aligned with td: the i whose i+1 occurs earlier
+    in the content reading order."""
+    return word_inverse_descent_set(word)
 
 
 def transpose_tuple(shapes: Iterable[SkewShape]) -> ShapeTuple:

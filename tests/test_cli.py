@@ -179,6 +179,39 @@ def test_kostka_table_workers_match_serial(capsys):
     assert parallel == serial
 
 
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(x) for x in items]
+
+
+@pytest.mark.parametrize(
+    "workers, n, cpus, size",
+    [("64", "2", 8, 2), ("64", "4", 3, 3), ("3", "4", 8, 3), ("64", "4", None, None)],
+)
+def test_kostka_table_workers_are_capped(capsys, monkeypatch, workers, n, cpus, size):
+    # at most one process per column (len(partitions(n))) and per CPU
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, _ = run_cli(capsys, "kostka-table", "--n", n, "--workers", workers)
+    assert code == 0
+    assert RecordingPool.sizes == ([] if size is None else [size])
+    assert out == run_cli(capsys, "kostka-table", "--n", n)[1]
+
+
 def test_llt_x_basis(capsys):
     code, out, _ = run_cli(
         capsys, "llt", "--mu", "1,1", "--descents", "2,1", "--basis", "x", "--vars", "2"
@@ -278,6 +311,23 @@ def test_verify_refuses_empty_ranges(capsys, argv):
     assert "must be at least" in out.err
 
 
+@pytest.mark.parametrize("suite", ["crystal", "all"])
+def test_crystal_checks_refuse_a_one_letter_alphabet(capsys, suite):
+    # raising and lowering act on letters i, i + 1: one letter leaves nothing to check
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--alphabet", "1", "--n-max", "2", "--word-len", "2"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "[PASS]" not in out.out
+    assert "--alphabet" in out.err
+
+
+def test_involutions_accept_a_one_letter_alphabet(capsys):
+    code, out, _ = run_cli(capsys, "verify", "involutions", "--alphabet", "1", "--n-max", "2")
+    assert code == 0
+    assert "alphabet 1" in out
+
+
 def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suite", lambda name, **kw: [("broken", False)])
     code, out, err = run_cli(capsys, "verify", "axioms")
@@ -304,3 +354,21 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "s[2] + q*s[1,1]"
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # like `| head -1`: the output (~600 kB) overflows the pipe, and the
+    # reader closes its end after the first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "macpoly.cli", "hmu", "--mu", "3,2,1", "--basis", "x", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ),
+    )
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err

@@ -1,5 +1,8 @@
 """The filling-sum kernel and its eight folds against a naive sum over Filling
-objects that takes maj and inv from the per-filling statistics."""
+objects that takes maj and inv from the per-filling statistics, and the
+standard-filling sum against the same statistics and the positive sum."""
+
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +11,17 @@ from hypothesis import strategies as st
 from macpoly.fillings import (
     ORDER1,
     ORDER2,
+    Filling,
     attack_inversion_count,
     descent_cells,
     filling_sum,
     indicator,
     inv,
+    inverse_descent_set,
     is_non_attacking,
     maj,
     shape_data,
+    standard_filling_sum,
     super_fillings,
 )
 from macpoly.involutions import _signed_sums, is_row_bound_fixed
@@ -31,7 +37,7 @@ from macpoly.macdonald import (
 from macpoly.qtring import QT
 from macpoly.shapes import partitions, weighted_size
 from macpoly.special import integral_form_from_macdonald
-from macpoly.symfunc import XPoly, monomial_exponents, super_exponents
+from macpoly.symfunc import XPoly, monomial_exponents, qsym_q, super_exponents
 
 SHAPES = [mu for n in range(5) for mu in partitions(n)]
 ALPHABETS = ((1, 0), (2, 0), (0, 2), (2, 1), (2, 2))
@@ -104,6 +110,25 @@ def test_kernel_matches_the_naive_sum_on_random_orders_and_weights(data):
     term = weighted_term(alphabet, rank.__getitem__, nvars)
     got = XPoly(nvars, filling_sum(shape_data(mu), alphabet, rank.__getitem__))
     assert got == naive(mu, npos, nneg, rank.__getitem__, nvars, term)
+
+
+def test_standard_sum_matches_the_statistics_and_the_positive_sum():
+    for mu in [mu for n in range(6) for mu in partitions(n)]:
+        n = sum(mu)
+        expected = {}
+        for perm in permutations(range(1, n + 1)):
+            f = Filling(mu, perm)
+            mask = sum(1 << (i - 1) for i in inverse_descent_set(f))
+            expected[mask] = expected.get(mask, QT.zero()) + QT({(inv(f), maj(f)): 1})
+        coeffs = standard_filling_sum(shape_data(mu))
+        assert coeffs == expected, mu
+        # the positive filling sum is the sum of c_D F_D, also in fewer than n variables
+        for nvars in (1, 2, 3):
+            total = XPoly.zero(nvars)
+            for mask, c in coeffs.items():
+                descents = [i for i in range(1, n) if mask >> (i - 1) & 1]
+                total = total + qsym_q(n, descents, nvars).scaled(c)
+            assert total == macdonald_in_x(mu, nvars), (mu, nvars)
 
 
 def test_an_order_that_ties_two_letters_is_rejected():

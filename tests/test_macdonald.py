@@ -4,6 +4,7 @@ import pytest
 
 from macpoly.fillings import ORDER1, ORDER2
 from macpoly.macdonald import (
+    _f_to_m_vec,
     check_conjugate_duality,
     descent_class_poly,
     descent_class_polys,
@@ -18,8 +19,8 @@ from macpoly.macdonald import (
     super_macdonald_in_xy,
 )
 from macpoly.qtring import QT, elementary_coeffs
-from macpoly.shapes import cell_biexponents
-from macpoly.symfunc import XPoly, to_m_basis
+from macpoly.shapes import cell_biexponents, partitions
+from macpoly.symfunc import XPoly, schur_expand, to_m_basis
 
 
 def qt(text_terms: dict[tuple[int, int], int]) -> QT:
@@ -48,6 +49,37 @@ def test_known_schur_tables_for_small_shapes():
 
 def test_monomial_vector_for_the_row():
     assert macdonald((2,)).m_vec == {(2,): QT.one(), (1, 1): QT.one() + QT.q()}
+    assert macdonald((2,)).x_poly == macdonald_in_x((2,), 2)
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [mu for n in range(1, 7) for mu in partitions(n)] + [(3, 2, 1, 1)],
+    ids=lambda mu: ",".join(map(str, mu)),
+)
+def test_fundamental_route_matches_the_filling_sum_oracle(mu):
+    oracle = macdonald_in_x(mu, sum(mu))
+    res = macdonald(mu)
+    assert res.m_vec == to_m_basis(oracle)
+    assert res.schur_vec == schur_expand(oracle)
+
+
+def test_empty_shape():
+    res = macdonald(())
+    assert res.m_vec == {(): QT.one()}
+    assert res.schur_vec == {(): QT.one()}
+    assert res.x_poly == XPoly(0, {(): QT.one()})
+
+
+def test_symmetry_check_rejects_a_non_symmetric_expansion():
+    # F_{} + q F_{1} in degree 3: M_(1,2) gets 1 + q but its rearrangement M_(2,1) gets 1
+    with pytest.raises(RuntimeError, match="not symmetric"):
+        _f_to_m_vec((2, 1), {0: QT.one(), 1: QT.q()})
+    assert _f_to_m_vec((2, 1), {0: QT.one(), 1: QT.q(), 2: QT.q()}) == {
+        (3,): QT.one(),
+        (2, 1): QT.one() + QT.q(),
+        (1, 1, 1): QT.one() + 2 * QT.q(),
+    }
 
 
 def test_guard_is_enforced():
