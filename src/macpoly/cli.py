@@ -1,10 +1,13 @@
 """Command line front end.
 
-Sizes are guarded because every computation enumerates fillings: the Schur
-and monomial vectors (hmu --basis schur|m, kostka-table, hall-littlewood) sum
-over the n! standard fillings, while hmu --basis x, llt, jack, jmu and the
-signed sums of verify enumerate all n^n or (2n)^n words. A single shape is
-capped at 8 cells and whole tables at n = 6 unless --force-guard is given.
+Every computation enumerates fillings, so sizes are guarded; the library
+itself takes any size. The guards follow the cost. The Schur and monomial
+vectors (hmu --basis schur|m, hall-littlewood, kostka-table) come from a DP
+over the subsets of cells: a single shape is capped at 10 cells (about 1 s)
+and a table at n = 9 (about 7 s). hmu --basis x, llt, jack and jmu enumerate
+all n^n words and are capped at 7 cells (up to about 40 s for jack and jmu).
+verify, whose signed sums enumerate (2n)^n words, is capped at n = 6, and
+two-column shares the single-shape cap. --force-guard lifts a cap.
 kostka-table --workers N opens at most one process per column and per CPU.
 Exit status is 0 on success, 1 when a verification suite reports a failure
 or stdout is closed before the output is written (as by `| head`), and 2 for
@@ -23,7 +26,7 @@ from multiprocessing import Pool
 from . import __version__
 from .crystal import two_column_kostka
 from .llt import llt_poly
-from .macdonald import DEFAULT_GUARD, macdonald, macdonald_in_x
+from .macdonald import macdonald, macdonald_in_x
 from .qtring import QT
 from .shapes import (
     Partition,
@@ -36,7 +39,10 @@ from .special import hall_littlewood_schur, integral_form_m_vec, jack_limit
 from .symfunc import XPoly, schur_expand, to_m_basis
 from .verify import SUITES, run_suite
 
-TABLE_GUARD = 6
+# size guards, one per cost class (see the module docstring)
+SHAPE_GUARD = 10
+TABLE_GUARD = 9
+WORD_GUARD = 7
 VERIFY_GUARD = 6
 CACHE_SCHEMA = 1
 CACHE_ENV = "MACPOLY_CACHE_DIR"
@@ -119,21 +125,18 @@ def _print_poly(f: XPoly, vec, n: int, basis: str, fmt: str, extra: dict) -> Non
 def _cmd_hmu(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
-    _guard(parser, n, DEFAULT_GUARD, args.force_guard)
-    nvars = args.vars or max(n, 1)
-    res = macdonald(mu, guard=max(n, 1))
+    _guard(parser, n, WORD_GUARD if args.basis == "x" else SHAPE_GUARD, args.force_guard)
     if args.basis == "x":
-        f = res.x_poly if nvars == n else macdonald_in_x(mu, nvars)
-        vec = None
+        f, vec = macdonald_in_x(mu, args.vars or max(n, 1)), None
     else:
-        f = None
-        vec = res.m_vec if args.basis == "m" else res.schur_vec
+        res = macdonald(mu)
+        f, vec = None, res.m_vec if args.basis == "m" else res.schur_vec
     _print_poly(f, vec, n, args.basis, args.format, {"mu": list(mu)})
     return 0
 
 
 def _kostka_column(mu: Partition) -> list:
-    vec = macdonald(mu, guard=sum(mu)).schur_vec
+    vec = macdonald(mu).schur_vec
     return [vec[lam].to_json() for lam in partitions(sum(mu))]
 
 
@@ -250,7 +253,7 @@ def _parse_descents(parser, text: str):
 def _cmd_llt(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
-    _guard(parser, n, DEFAULT_GUARD, args.force_guard)
+    _guard(parser, n, WORD_GUARD, args.force_guard)
     descents = _parse_descents(parser, args.descents)
     try:
         shapes = ribbon_tuple(mu, descents)
@@ -271,7 +274,7 @@ def _cmd_llt(parser, args) -> int:
 def _cmd_jack(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
-    _guard(parser, n, DEFAULT_GUARD, args.force_guard)
+    _guard(parser, n, WORD_GUARD, args.force_guard)
     if args.alpha < 1:
         parser.error("alpha must be a positive integer")
     nvars = args.vars or max(n, 1)
@@ -289,7 +292,7 @@ def _cmd_jack(parser, args) -> int:
 def _cmd_jmu(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
-    _guard(parser, n, DEFAULT_GUARD, args.force_guard)
+    _guard(parser, n, WORD_GUARD, args.force_guard)
     nvars = args.vars or max(n, 1)
     if nvars < n:
         parser.error(f"monomial output needs at least {n} variables")
@@ -301,7 +304,7 @@ def _cmd_jmu(parser, args) -> int:
 def _cmd_hall_littlewood(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
-    _guard(parser, n, DEFAULT_GUARD, args.force_guard)
+    _guard(parser, n, SHAPE_GUARD, args.force_guard)
     vec = hall_littlewood_schur(mu)
     _print_poly(None, vec, n, "schur", args.format, {"mu": list(mu)})
     return 0
@@ -310,7 +313,7 @@ def _cmd_hall_littlewood(parser, args) -> int:
 def _cmd_two_column(parser, args) -> int:
     lam = _parse_mu(parser, args.lam)
     mu = _parse_mu(parser, args.mu)
-    _guard(parser, sum(mu), DEFAULT_GUARD, args.force_guard)
+    _guard(parser, sum(mu), SHAPE_GUARD, args.force_guard)
     if mu and mu[0] > 2:
         parser.error(f"shape {format_partition(mu)} has more than two columns")
     if sum(lam) != sum(mu):

@@ -18,6 +18,7 @@ from typing import Iterable, Iterator
 from .fillings import Filling, positive_word_statistics, shape_data
 from .qtring import QT
 from .shapes import Partition, check_partition
+from .symfunc import syt_count, tableau_reading_word
 
 Word = tuple[int, ...]
 
@@ -108,15 +109,9 @@ def rsk(word: Iterable[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[i
     return tuple(tuple(r) for r in p_rows), tuple(tuple(r) for r in q_rows)
 
 
-def tableau_word(rows_bottom_up: Iterable[Iterable[int]]) -> Word:
-    """Reading word of a tableau given bottom-up: top row first."""
-    rows = [tuple(r) for r in rows_bottom_up]
-    return tuple(x for row in reversed(rows) for x in row)
-
-
 def rectify(word: Iterable[int]) -> Word:
     """Reading word of the insertion tableau (the Knuth-class representative)."""
-    return tableau_word(rsk(word)[0])
+    return tableau_reading_word(rsk(word)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +280,6 @@ def check_filling_operators(mu: Partition, max_entry: int) -> bool:
 def check_fiber_sizes(length: int, alphabet: int) -> bool:
     """Rectification fibers are Knuth classes: the fiber over a tableau word
     has one word per standard recording tableau of that shape."""
-    from .symfunc import syt_count
-
     counts: dict[Word, int] = {}
     for word in product(range(1, alphabet + 1), repeat=length):
         target = rectify(word)

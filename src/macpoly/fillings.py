@@ -16,7 +16,7 @@ through the reading order.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .qtring import QT
@@ -362,14 +362,6 @@ def super_fillings(
         yield Filling(mu, word)
 
 
-def _descent_tests(sd: ShapeData) -> tuple[tuple[int, int, int, int], ...]:
-    """(p, position below p, maj weight leg + 1, arm) for every cell p that
-    has a cell below it: a descent at p adds the weight and takes the arm."""
-    return tuple(
-        (p, b, sd.legs[p] + 1, sd.arms[p]) for p, b in enumerate(sd.below) if b >= 0
-    )
-
-
 def filling_sum(
     sd: ShapeData,
     alphabet: dict[int, Weight],
@@ -393,7 +385,8 @@ def filling_sum(
     letter = {2 * r + (x < 0): x for r, x in enumerate(ranked)}
     nvars = 1 + max((w[0] for w in alphabet.values()), default=-1)
     n = len(sd.cells)
-    descents = _descent_tests(sd)
+    # (p, position below p, leg + 1, arm) for every cell p with a cell below it
+    descents = [(p, b, sd.legs[p] + 1, sd.arms[p]) for p, b in enumerate(sd.below) if b >= 0]
     pairs = sd.attack_pairs
     words = product(letter, repeat=n)
     if keep is not None:
@@ -426,41 +419,46 @@ def filling_sum(
     return {e: c for e, d in acc.items() if (c := QT(d))}
 
 
-def standard_filling_sum(sd: ShapeData) -> dict[int, QT]:
-    """Sum of q^inv t^maj over the standard fillings of sd.mu, by inverse
-    descent set: {mask: nonzero coefficient c_D}, where bit i - 1 of the mask
-    is set when i + 1 comes before i in reading order.
+def content_filling_sum(sd: ShapeData, content: Iterable[int]) -> QT:
+    """Sum of q^inv t^maj over the fillings of sd.mu with content[k - 1]
+    entries equal to k, for k = 1, 2, ...: the coefficient of x^content in
+    the positive filling sum.
 
-    Standardization is a bijection from fillings to (standard filling, word
-    compatible with its inverse descent set D) that keeps inv and maj, so the
-    positive filling sum is the sum of c_D F_D over the n! standard fillings,
-    with F_D Gessel's fundamental quasisymmetric function. On standard words
-    I(x, y) is the test x > y."""
+    Every term of inv and maj belongs to a pair of cells (an attacking pair,
+    or a cell and the cell below it) and is settled once the larger of the
+    two letters is placed. So the letters go in block by block, k = 1, 2, ...,
+    and the state is the bit mask of the filled cells, each holding a smaller
+    letter than the new block. A new cell x gains one inversion for each
+    filled cell that it attacks and precedes in reading order, and it is a
+    descent (adding leg + 1 to maj and taking its arm from inv) when the
+    cell below it is filled. Equal letters add nothing."""
     n = len(sd.cells)
-    descents = _descent_tests(sd)
-    pairs = sd.attack_pairs
-    counts: dict[tuple[int, int, int], int] = {}
-    for where in permutations(range(n)):
-        # where[v] is the position of the value v; word[p] the value at p
-        word = sorted(range(n), key=where.__getitem__)
-        mask = 0
-        for v in range(n - 1):
-            if where[v + 1] < where[v]:
-                mask |= 1 << v
-        inv = maj = 0
-        for p, b, lp, a in descents:
-            if word[p] > word[b]:
-                maj += lp
-                inv -= a
-        for p, p2 in pairs:
-            if word[p] > word[p2]:
-                inv += 1
-        key = (mask, inv, maj)
-        counts[key] = counts.get(key, 0) + 1
-    acc: dict[int, dict[tuple[int, int], int]] = {}
-    for (mask, inv, maj), count in counts.items():
-        acc.setdefault(mask, {})[(inv, maj)] = count
-    return {mask: QT(d) for mask, d in acc.items()}
+    later = [0] * n
+    for p, p2 in sd.attack_pairs:
+        later[p] |= 1 << p2
+    states: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
+    for size in content:
+        step: dict[int, dict[tuple[int, int], int]] = {}
+        for filled, counts in states.items():
+            # (bit, inv, maj) that each empty cell adds when it joins the block
+            moves = []
+            for p in range(n):
+                if not filled >> p & 1:
+                    inv, maj = (later[p] & filled).bit_count(), 0
+                    b = sd.below[p]
+                    if b >= 0 and filled >> b & 1:
+                        inv, maj = inv - sd.arms[p], sd.legs[p] + 1
+                    moves.append((1 << p, inv, maj))
+            for block in combinations(moves, size):
+                mask, inv, maj = filled, 0, 0
+                for bit, i, m in block:
+                    mask, inv, maj = mask | bit, inv + i, maj + m
+                acc = step.setdefault(mask, {})
+                for (i, m), c in counts.items():
+                    key = (i + inv, m + maj)
+                    acc[key] = acc.get(key, 0) + c
+        states = step
+    return QT(states.get((1 << n) - 1, {}))
 
 
 def abs_alphabet(

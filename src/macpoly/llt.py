@@ -14,18 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple
 
-from .fillings import (
-    ORDER1,
-    LetterOrder,
-    indicator,
-    standardize_word as _standardize_word,
-    super_letters,
-    word_inverse_descent_set,
-)
-from .macdonald import descent_class_poly
+from .fillings import ORDER1, LetterOrder, indicator, super_letters
+from .macdonald import descent_class_polys
 from .qtring import QT
 from .shapes import (
     Cell,
@@ -33,6 +26,7 @@ from .shapes import (
     SkewShape,
     check_partition,
     conjugate,
+    reading_cells,
     ribbon_tuple,
     skew_from_cells,
 )
@@ -218,18 +212,6 @@ def standard_tuple_words(shapes: ShapeTuple) -> Iterator[tuple[int, ...]]:
     yield from walk(1, set())
 
 
-def standardize_word(word, td: TupleData, order: LetterOrder = ORDER1) -> tuple[int, ...]:
-    """Rank entries into 1..n: plain ties left to right, barred right to left.
-    The word is aligned with the content reading order of td."""
-    return _standardize_word(word, order)
-
-
-def tableau_descent_set(word, td: TupleData) -> frozenset[int]:
-    """For a standard word aligned with td: the i whose i+1 occurs earlier
-    in the content reading order."""
-    return word_inverse_descent_set(word)
-
-
 def transpose_tuple(shapes: Iterable[SkewShape]) -> ShapeTuple:
     """Conjugate every shape and reverse the tuple order."""
     return tuple(s.transpose() for s in reversed(tuple(shapes)))
@@ -253,12 +235,18 @@ def delete_two_cell_columns(shapes: Iterable[SkewShape]) -> tuple[ShapeTuple, in
     return tuple(out), removed
 
 
-def check_ribbon_factorization(mu: Partition, descent_cells, nvars: int) -> bool:
-    """The descent-class generating function of mu equals the LLT polynomial
-    of the associated ribbon tuple."""
+def check_ribbon_factorization(mu: Partition, nvars: int) -> bool:
+    """For every set D of cells of mu with a cell below them, the descent-class
+    generating function of D equals the LLT polynomial of the ribbon tuple of
+    D; one sweep over the fillings gives every class."""
     mu = check_partition(mu)
-    return descent_class_poly(mu, descent_cells, nvars) == llt_poly(
-        ribbon_tuple(mu, descent_cells), nvars
+    classes = descent_class_polys(mu, nvars)
+    upper = [c for c in reading_cells(mu) if c[0] >= 2]
+    zero = XPoly.zero(nvars)
+    return all(
+        classes.get(frozenset(d), zero) == llt_poly(ribbon_tuple(mu, d), nvars)
+        for k in range(len(upper) + 1)
+        for d in combinations(upper, k)
     )
 
 

@@ -4,9 +4,10 @@ The central object is the generating function over all fillings of a
 partition diagram weighted by q^inv t^maj. Expanding it in the monomial and
 Schur bases yields the two-parameter Kostka table; signed alphabets give the
 plethystic specializations and the coefficients of the principal evaluation.
-The monomial and Schur vectors come from its expansion in fundamental
-quasisymmetric functions, a sum over the n! standard fillings; the sum over
-all n^n fillings, macdonald_in_x, is the oracle the tests compare it with.
+The coefficient of each monomial m_nu is the sum over the fillings with
+content nu, which one subset DP over the cells computes (content_filling_sum);
+the sum over all n^n fillings, macdonald_in_x, is the oracle the tests
+compare it with. Sizes are not limited here: the command line guards them.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .fillings import (
     LetterOrder,
     Weight,
     abs_alphabet,
+    content_filling_sum,
     filling_sum,
     shape_data,
-    standard_filling_sum,
 )
 from .qtring import QT, elementary_coeffs
 from .shapes import (
@@ -38,8 +39,6 @@ from .shapes import (
     partitions,
 )
 from .symfunc import XPoly, m_to_schur
-
-DEFAULT_GUARD = 8
 
 
 def _positive(nvars: int) -> dict[int, Weight]:
@@ -66,41 +65,18 @@ class MacdonaldResult:
         return macdonald_in_x(self.mu, sum(self.mu))
 
 
-def _composition(mask: int, n: int) -> tuple[int, ...]:
-    """The composition of n whose partial sums below n are the i with bit
-    i - 1 of mask set."""
-    cuts = [0] + [i for i in range(1, n) if mask >> (i - 1) & 1] + [n]
-    return tuple(b - a for a, b in zip(cuts, cuts[1:]) if b > a)
-
-
-def _f_to_m_vec(mu: Partition, coeffs: dict[int, QT]) -> dict[Partition, QT]:
-    """The monomial vector of sum_D c_D F_D, from {mask of D: c_D}.
-
-    The coefficient of x^alpha in F_D is 1 when D lies in the partial sums
-    S(alpha) of the composition alpha, and 0 otherwise; so the coefficient of
-    the monomial quasisymmetric M_alpha is the sum of c_D over D in S(alpha),
-    which one subset-sum pass computes for every alpha at once. It must agree
-    across the rearrangements of alpha, and then it is the coefficient of
-    m_nu, nu = alpha sorted."""
-    n = sum(mu)
-    bits = max(n - 1, 0)
-    sums = [coeffs.get(mask, QT.zero()) for mask in range(1 << bits)]
-    for i in range(bits):
-        for mask in range(1 << bits):
-            if mask >> i & 1:
-                sums[mask] = sums[mask] + sums[mask ^ 1 << i]
-    m_vec: dict[Partition, QT] = {}
-    for mask, c in enumerate(sums):
-        nu = tuple(sorted(_composition(mask, n), reverse=True))
-        if m_vec.setdefault(nu, c) != c:
-            raise RuntimeError(f"filling sum for {mu} is not symmetric; internal bug")
-    return {nu: c for nu, c in m_vec.items() if c}
-
-
 @lru_cache(maxsize=None)
 def _macdonald(mu: Partition) -> MacdonaldResult:
     n = sum(mu)
-    m_vec = _f_to_m_vec(mu, standard_filling_sum(shape_data(mu)))
+    sd = shape_data(mu)
+    m_vec: dict[Partition, QT] = {}
+    for nu in partitions(n):
+        c = content_filling_sum(sd, nu)
+        # the DP does not assume symmetry: another order of the blocks must agree
+        if nu[::-1] != nu and content_filling_sum(sd, nu[::-1]) != c:
+            raise RuntimeError(f"filling sum for {mu} is not symmetric; internal bug")
+        if c:
+            m_vec[nu] = c
     if n and m_vec.get((n,)) != QT.one():
         raise RuntimeError(f"m_(n) coefficient for {mu} is not 1; internal bug")
     schur_vec = m_to_schur(m_vec)
@@ -110,23 +86,15 @@ def _macdonald(mu: Partition) -> MacdonaldResult:
     return MacdonaldResult(mu, m_vec, schur_vec)
 
 
-def macdonald(mu: Partition, guard: int = DEFAULT_GUARD) -> MacdonaldResult:
-    """Compute (and cache) the polynomial for mu; guarded by |mu| <= guard."""
-    mu = check_partition(mu)
-    n = sum(mu)
-    if n > guard:
-        raise ValueError(
-            f"|mu| = {n} exceeds the size guard {guard}; raise the guard to proceed"
-        )
-    return _macdonald(mu)
+def macdonald(mu: Partition) -> MacdonaldResult:
+    """Compute (and cache) the polynomial for mu."""
+    return _macdonald(check_partition(mu))
 
 
-def kostka_table(n: int, guard: int = 6) -> tuple[tuple[Partition, ...], list[list[QT]]]:
+def kostka_table(n: int) -> tuple[tuple[Partition, ...], list[list[QT]]]:
     """All q,t-Kostka entries for partitions of n: rows lam, columns mu."""
-    if n > guard:
-        raise ValueError(f"n = {n} exceeds the table guard {guard}; raise the guard to proceed")
     parts = partitions(n)
-    columns = {mu: macdonald(mu, guard=n).schur_vec for mu in parts}
+    columns = {mu: macdonald(mu).schur_vec for mu in parts}
     matrix = [[columns[mu].get(lam, QT.zero()) for mu in parts] for lam in parts]
     return parts, matrix
 

@@ -63,16 +63,27 @@ def test_hmu_json(capsys):
 
 
 def test_guards_exit_with_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["hmu", "--mu", "9"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["kostka-table", "--n", "7"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "axioms", "--n-max", "7"])
-    assert exc.value.code == 2
+    # one guard per cost class: the content DP for one shape (10 cells) and
+    # for a table (n = 9), n^n word sums (7 cells), verify (n = 6)
+    for argv in (
+        ["hmu", "--mu", "11"],
+        ["hmu", "--mu", "8", "--basis", "x"],
+        ["llt", "--mu", "8"],
+        ["kostka-table", "--n", "10"],
+        ["verify", "axioms", "--n-max", "7"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_forced_hall_littlewood_of_nine_cells(capsys):
+    # the CLI guard is the only one: macdonald() itself takes any size
+    code, out, err = run_cli(capsys, "hall-littlewood", "--mu", "5,4", "--force-guard")
+    assert code == 0
+    assert out.strip() == "s[9] + t*s[8,1] + t^2*s[7,2] + t^3*s[6,3] + t^4*s[5,4]"
+    assert err == ""
 
 
 def test_bad_partition_is_a_usage_error(capsys):

@@ -15,7 +15,6 @@ from macpoly.crystal import (
     is_yamanouchi,
     rectify,
     rsk,
-    tableau_word,
     two_column_kostka,
     word_content,
     yamanouchi_words,
@@ -23,6 +22,7 @@ from macpoly.crystal import (
 from macpoly.fillings import Filling, inv, maj
 from macpoly.macdonald import macdonald
 from macpoly.qtring import QT
+from macpoly.symfunc import tableau_reading_word
 
 
 def test_raise_flips_the_first_unmatched_upper_letter():
@@ -89,7 +89,7 @@ def test_rsk_small_word():
 def test_rectify_is_constant_on_knuth_classes():
     assert rectify((1, 2, 1)) == (2, 1, 1)
     assert rectify((2, 1, 1)) == (2, 1, 1)
-    assert tableau_word(((1, 1), (2,))) == (2, 1, 1)
+    assert tableau_reading_word(((1, 1), (2,))) == (2, 1, 1)
     # rectifying a tableau word returns it unchanged
     for word in ((2, 1, 1), (3, 1, 2), (2, 3, 1, 1, 2)):
         assert rectify(rectify(word)) == rectify(word)

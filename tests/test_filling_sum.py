@@ -1,8 +1,11 @@
 """The filling-sum kernel and its eight folds against a naive sum over Filling
-objects that takes maj and inv from the per-filling statistics, and the
-standard-filling sum against the same statistics and the positive sum."""
+objects that takes maj and inv from the per-filling statistics; the content DP
+against the kernel's monomial coefficients; and the route through Gessel's
+fundamental quasisymmetric functions (F route), kept here as an oracle for
+sizes the kernel cannot afford, against the same statistics, the positive sum
+and macdonald()."""
 
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from macpoly.fillings import (
     ORDER2,
     Filling,
     attack_inversion_count,
+    content_filling_sum,
     descent_cells,
     filling_sum,
     indicator,
@@ -21,13 +25,13 @@ from macpoly.fillings import (
     is_non_attacking,
     maj,
     shape_data,
-    standard_filling_sum,
     super_fillings,
 )
 from macpoly.involutions import _signed_sums, is_row_bound_fixed
 from macpoly.macdonald import (
     descent_class_poly,
     descent_class_polys,
+    macdonald,
     macdonald_in_x,
     one_minus_u_coeffs,
     plethysm_q_minus_one,
@@ -37,7 +41,7 @@ from macpoly.macdonald import (
 from macpoly.qtring import QT
 from macpoly.shapes import partitions, weighted_size
 from macpoly.special import integral_form_from_macdonald
-from macpoly.symfunc import XPoly, monomial_exponents, qsym_q, super_exponents
+from macpoly.symfunc import XPoly, m_to_schur, monomial_exponents, qsym_q, super_exponents
 
 SHAPES = [mu for n in range(5) for mu in partitions(n)]
 ALPHABETS = ((1, 0), (2, 0), (0, 2), (2, 1), (2, 2))
@@ -112,6 +116,50 @@ def test_kernel_matches_the_naive_sum_on_random_orders_and_weights(data):
     assert got == naive(mu, npos, nneg, rank.__getitem__, nvars, term)
 
 
+def standard_filling_sum(sd) -> dict[int, QT]:
+    """Sum of q^inv t^maj over the standard fillings of sd.mu, by inverse
+    descent set: {mask: nonzero coefficient c_D}, where bit i - 1 of the mask
+    is set when i + 1 comes before i in reading order.
+
+    Standardization is a bijection from fillings to (standard filling, word
+    compatible with its inverse descent set D) that keeps inv and maj, so the
+    positive filling sum is the sum of c_D F_D over the n! standard fillings,
+    with F_D Gessel's fundamental quasisymmetric function. On standard words
+    I(x, y) is the test x > y."""
+    n = len(sd.cells)
+    descents = [(p, b, sd.legs[p] + 1, sd.arms[p]) for p, b in enumerate(sd.below) if b >= 0]
+    counts = {}
+    for where in permutations(range(n)):
+        # where[v] is the position of the value v; word[p] the value at p
+        word = sorted(range(n), key=where.__getitem__)
+        mask = sum(1 << v for v in range(n - 1) if where[v + 1] < where[v])
+        inv = maj = 0
+        for p, b, lp, a in descents:
+            if word[p] > word[b]:
+                maj += lp
+                inv -= a
+        inv += sum(1 for p, p2 in sd.attack_pairs if word[p] > word[p2])
+        key = (mask, inv, maj)
+        counts[key] = counts.get(key, 0) + 1
+    acc = {}
+    for (mask, inv, maj), count in counts.items():
+        acc.setdefault(mask, {})[(inv, maj)] = count
+    return {mask: QT(d) for mask, d in acc.items()}
+
+
+def f_route_m_vec(mu) -> dict:
+    """The monomial vector of sum_D c_D F_D: the coefficient of m_nu is the sum
+    of c_D over the D inside the partial sums of nu."""
+    coeffs = standard_filling_sum(shape_data(mu))
+    m_vec = {}
+    for nu in partitions(sum(mu)):
+        cuts = sum(1 << (s - 1) for s in list(accumulate(nu))[:-1])
+        c = sum((c for mask, c in coeffs.items() if mask & ~cuts == 0), QT.zero())
+        if c:
+            m_vec[nu] = c
+    return m_vec
+
+
 def test_standard_sum_matches_the_statistics_and_the_positive_sum():
     for mu in [mu for n in range(6) for mu in partitions(n)]:
         n = sum(mu)
@@ -129,6 +177,39 @@ def test_standard_sum_matches_the_statistics_and_the_positive_sum():
                 descents = [i for i in range(1, n) if mask >> (i - 1) & 1]
                 total = total + qsym_q(n, descents, nvars).scaled(c)
             assert total == macdonald_in_x(mu, nvars), (mu, nvars)
+
+
+@pytest.mark.parametrize("mu", partitions(7), ids=lambda mu: ",".join(map(str, mu)))
+def test_macdonald_matches_the_f_route_at_size_seven(mu):
+    # n^n = 823,543 words per shape puts the kernel oracle out of reach here
+    m_vec = f_route_m_vec(mu)
+    res = macdonald(mu)
+    assert res.m_vec == m_vec
+    assert res.schur_vec == m_to_schur(m_vec)
+
+
+@st.composite
+def shapes_and_contents(draw):
+    """A shape with at most 5 cells and a composition (zeros allowed), either
+    of its size or of a random size."""
+    mu = draw(st.sampled_from([mu for n in range(6) for mu in partitions(n)]))
+    length = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.integers(0, sum(mu)), min_size=length - 1, max_size=length - 1)))
+        alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [sum(mu)]))
+    else:
+        alpha = tuple(draw(st.lists(st.integers(0, 3), min_size=length, max_size=length)))
+    return mu, alpha
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes_and_contents())
+def test_content_sum_is_the_monomial_coefficient_of_the_kernel(case):
+    mu, alpha = case
+    sd = shape_data(mu)
+    positive = {k: (k - 1, 1, 0, 0) for k in range(1, len(alpha) + 1)}
+    expected = filling_sum(sd, positive, ORDER1).get(alpha, QT.zero())
+    assert content_filling_sum(sd, alpha) == expected
 
 
 def test_an_order_that_ties_two_letters_is_rejected():

@@ -1,10 +1,11 @@
 """LLT polynomials on shape tuples and the two-letter diagonal recursion."""
 
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
-from macpoly.fillings import ORDER1
+from macpoly.fillings import ORDER1, standardize_word, word_inverse_descent_set
 from macpoly.llt import (
     beta_recursion_parts,
     binary_inversion_poly,
@@ -16,8 +17,6 @@ from macpoly.llt import (
     llt_super_poly,
     skew_tableaux,
     standard_tuple_words,
-    standardize_word,
-    tableau_descent_set,
     tableau_inversions,
     transpose_tuple,
     tuple_data,
@@ -69,23 +68,21 @@ def test_tableau_inversions_on_the_pair_of_cells():
 def test_standard_tuple_words():
     words = set(standard_tuple_words((CELL, CELL)))
     assert words == {(1, 2), (2, 1)}
-    td = tuple_data((DOMINO_COL,))
     for w in standard_tuple_words((DOMINO_COL,)):
-        assert tableau_descent_set(w, td) == frozenset({1})
+        assert word_inverse_descent_set(w) == frozenset({1})
 
 
 def test_standardize_word_breaks_ties_by_sign():
-    td = tuple_data((CELL, CELL, CELL))
-    assert standardize_word((1, 1, 1), td) == (1, 2, 3)
-    assert standardize_word((-1, -1, -1), td) == (3, 2, 1)
-    assert standardize_word((2, 1, -2), td) == (2, 1, 3)
+    assert standardize_word((1, 1, 1)) == (1, 2, 3)
+    assert standardize_word((-1, -1, -1)) == (3, 2, 1)
+    assert standardize_word((2, 1, -2)) == (2, 1, 3)
 
 
 def test_standardization_preserves_inversions():
     shapes = (DOMINO_ROW, CELL)
     td = tuple_data(shapes)
     for word in tuple_tableau_words(shapes, 2):
-        std = standardize_word(word, td)
+        std = standardize_word(word)
         assert tableau_inversions(word, td) == tableau_inversions(std, td)
 
 
@@ -109,10 +106,17 @@ def test_delete_two_cell_columns():
         delete_two_cell_columns((SkewShape((1, 1, 1), ()),))
 
 
-def test_ribbon_factorization_small_shapes():
-    assert check_ribbon_factorization((2, 1), [(2, 1)], 2)
-    assert check_ribbon_factorization((2, 2), [(2, 1), (2, 2)], 2)
-    assert check_ribbon_factorization((3, 1), [], 2)
+def test_ribbon_factorization_small_shapes(monkeypatch):
+    for mu in ((2, 1), (2, 2), (3, 1)):
+        assert check_ribbon_factorization(mu, 2)
+    # every class is compared: dropping the one with two descents is caught
+    llt = import_module("macpoly.llt")
+    classes = llt.descent_class_polys
+    monkeypatch.setattr(
+        llt, "descent_class_polys",
+        lambda mu, nvars: {d: f for d, f in classes(mu, nvars).items() if len(d) != 2},
+    )
+    assert not check_ribbon_factorization((2, 2), 2)
 
 
 def test_transpose_identity_small_tuples():

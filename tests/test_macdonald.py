@@ -1,10 +1,12 @@
 """The filling sum, its bases, descent classes, and hook/duality structure."""
 
+from importlib import import_module
+
 import pytest
 
-from macpoly.fillings import ORDER1, ORDER2
+from macpoly.fillings import ORDER1, ORDER2, content_filling_sum
 from macpoly.macdonald import (
-    _f_to_m_vec,
+    _macdonald,
     check_conjugate_duality,
     descent_class_poly,
     descent_class_polys,
@@ -71,21 +73,16 @@ def test_empty_shape():
     assert res.x_poly == XPoly(0, {(): QT.one()})
 
 
-def test_symmetry_check_rejects_a_non_symmetric_expansion():
-    # F_{} + q F_{1} in degree 3: M_(1,2) gets 1 + q but its rearrangement M_(2,1) gets 1
+def test_symmetry_check_rejects_a_non_symmetric_expansion(monkeypatch):
+    # the coefficient of x1 x2^2 disagrees with that of x1^2 x2
+    def skewed(sd, content):
+        c = content_filling_sum(sd, content)
+        return c + QT.q() if tuple(content) == (1, 2) else c
+
+    # the package exports the function macdonald under the module's name
+    monkeypatch.setattr(import_module("macpoly.macdonald"), "content_filling_sum", skewed)
     with pytest.raises(RuntimeError, match="not symmetric"):
-        _f_to_m_vec((2, 1), {0: QT.one(), 1: QT.q()})
-    assert _f_to_m_vec((2, 1), {0: QT.one(), 1: QT.q(), 2: QT.q()}) == {
-        (3,): QT.one(),
-        (2, 1): QT.one() + QT.q(),
-        (1, 1, 1): QT.one() + 2 * QT.q(),
-    }
-
-
-def test_guard_is_enforced():
-    with pytest.raises(ValueError):
-        macdonald((5, 4), guard=8)
-    macdonald((2, 1), guard=3)
+        _macdonald.__wrapped__((2, 1))
 
 
 def test_kostka_table_n2():
