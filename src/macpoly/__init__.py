@@ -40,7 +40,7 @@ from .macdonald import (
     plethysm_q_minus_one,
     plethysm_t_minus_one,
 )
-from .qtring import QT, AlphaPoly
+from .qtring import QT
 from .shapes import (
     SkewShape,
     conjugate,
@@ -63,7 +63,6 @@ from .symfunc import XPoly, kostka, schur_expand, syt_count, to_m_basis
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaPoly",
     "Filling",
     "ORDER1",
     "ORDER2",

@@ -125,6 +125,8 @@ def _print_poly(f: XPoly, vec, n: int, basis: str, fmt: str, extra: dict) -> Non
 def _cmd_hmu(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
+    if args.vars is not None and args.basis != "x":
+        parser.error("argument --vars: only --basis x takes a number of variables")
     _guard(parser, n, WORD_GUARD if args.basis == "x" else SHAPE_GUARD, args.force_guard)
     if args.basis == "x":
         f, vec = macdonald_in_x(mu, args.vars or max(n, 1)), None

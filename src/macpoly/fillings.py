@@ -254,17 +254,6 @@ def inv(filling: Filling, order: LetterOrder = ORDER1) -> int:
     return word_statistics(filling.word, shape_data(filling.shape), order)[1]
 
 
-def inversion_pairs(filling: Filling, order: LetterOrder = ORDER1) -> tuple[tuple[Cell, Cell], ...]:
-    """Attacking pairs (u, v), u before v in reading order, with I(s(u), s(v)) = 1."""
-    sd = shape_data(filling.shape)
-    w = filling.word
-    return tuple(
-        (sd.cells[p], sd.cells[p2])
-        for p, p2 in sd.attack_pairs
-        if indicator(w[p], w[p2], order)
-    )
-
-
 def attack_inversion_count(filling: Filling, order: LetterOrder = ORDER1) -> int:
     return word_attack_inversions(filling.word, shape_data(filling.shape), order)
 

@@ -25,12 +25,11 @@ from .shapes import (
     Partition,
     SkewShape,
     check_partition,
-    conjugate,
     reading_cells,
     ribbon_tuple,
     skew_from_cells,
 )
-from .symfunc import XPoly, monomial_exponents, schur_expand, super_exponents
+from .symfunc import XPoly, monomial_exponents, omega_schur, schur_expand, super_exponents
 
 ShapeTuple = tuple[SkewShape, ...]
 
@@ -76,73 +75,44 @@ def tableau_inversions(word, td: TupleData, order: LetterOrder = ORDER1) -> int:
     return sum(1 for p, p2 in td.inv_pairs if indicator(word[p], word[p2], order))
 
 
-def skew_tableaux(shape: SkewShape, max_entry: int) -> Iterator[tuple[int, ...]]:
-    """Semistandard fillings of one skew shape, entries aligned with
-    shape.cells(); rows weakly increase, columns strictly increase upward."""
-    cells = shape.cells()
-    fill_order = sorted(cells)          # bottom to top guarantees neighbours exist
-    out_index = {c: k for k, c in enumerate(cells)}
-    assign: dict[Cell, int] = {}
-
-    def walk(k: int) -> Iterator[tuple[int, ...]]:
-        if k == len(fill_order):
-            yield tuple(assign[c] for c in cells)
-            return
-        i, j = fill_order[k]
-        lo = 1
-        if (i, j - 1) in assign:
-            lo = max(lo, assign[(i, j - 1)])
-        if (i - 1, j) in assign:
-            lo = max(lo, assign[(i - 1, j)] + 1)
-        for v in range(lo, max_entry + 1):
-            assign[(i, j)] = v
-            yield from walk(k + 1)
-        assign.pop((i, j), None)
-
-    yield from walk(0)
-
-
 def skew_super_tableaux(
     shape: SkewShape, npos: int, nneg: int, order: LetterOrder = ORDER1
 ) -> Iterator[tuple[int, ...]]:
-    """Signed semistandard fillings: rows and columns weakly increase in the
-    order, equal row neighbours must be plain, equal column neighbours barred."""
+    """Signed semistandard fillings, entries aligned with shape.cells(): rows
+    and columns weakly increase in the order, equal row neighbours must be
+    plain, equal column neighbours barred. With nneg = 0 these are the
+    ordinary semistandard fillings by 1..npos."""
     cells = shape.cells()
-    fill_order = sorted(cells)
+    fill_order = sorted(cells)          # bottom to top guarantees neighbours exist
     letters = super_letters(npos, nneg, order)
     assign: dict[Cell, int] = {}
-
-    def ok(cell: Cell, idx: int) -> bool:
-        i, j = cell
-        x = letters[idx]
-        left = assign.get((i, j - 1))
-        if left is not None and (idx < left or (idx == left and x < 0)):
-            return False
-        below = assign.get((i - 1, j))
-        if below is not None and (idx < below or (idx == below and x > 0)):
-            return False
-        return True
 
     def walk(k: int) -> Iterator[tuple[int, ...]]:
         if k == len(fill_order):
             yield tuple(letters[assign[c]] for c in cells)
             return
-        cell = fill_order[k]
-        for idx in range(len(letters)):
-            if ok(cell, idx):
-                assign[cell] = idx
-                yield from walk(k + 1)
+        i, j = cell = fill_order[k]
+        lo = 0
+        left = assign.get((i, j - 1))
+        if left is not None:
+            lo = left if letters[left] > 0 else left + 1
+        below = assign.get((i - 1, j))
+        if below is not None:
+            lo = max(lo, below if letters[below] < 0 else below + 1)
+        for idx in range(lo, len(letters)):
+            assign[cell] = idx
+            yield from walk(k + 1)
         assign.pop(cell, None)
 
     yield from walk(0)
 
 
 def tuple_tableau_words(
-    shapes: ShapeTuple, max_entry: int
+    shapes: ShapeTuple, npos: int, nneg: int, order: LetterOrder = ORDER1
 ) -> Iterator[tuple[int, ...]]:
-    """Entry words (content reading order) of all semistandard tuples."""
+    """Entry words (content reading order) of all signed semistandard tuples."""
     td = tuple_data(tuple(shapes))
-    per_component = [list(skew_tableaux(s, max_entry)) for s in td.shapes]
+    per_component = [list(skew_super_tableaux(s, npos, nneg, order)) for s in td.shapes]
     n = len(td.cells)
     for combo in product(*per_component):
         word = [0] * n
@@ -154,15 +124,7 @@ def tuple_tableau_words(
 
 def llt_poly(shapes: Iterable[SkewShape], nvars: int) -> XPoly:
     """The LLT polynomial: sum of q^inversions x^T over semistandard tuples."""
-    shapes = tuple(shapes)
-    td = tuple_data(shapes)
-    acc: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for word in tuple_tableau_words(shapes, nvars):
-        q = tableau_inversions(word, td)
-        e = monomial_exponents(word, nvars)
-        inner = acc.setdefault(e, {})
-        inner[(q, 0)] = inner.get((q, 0), 0) + 1
-    return XPoly(nvars, {e: QT(d) for e, d in acc.items()})
+    return llt_super_poly(shapes, nvars, 0)
 
 
 def llt_super_poly(
@@ -172,14 +134,8 @@ def llt_super_poly(
     the plain polynomial."""
     shapes = tuple(shapes)
     td = tuple_data(shapes)
-    per_component = [list(skew_super_tableaux(s, npos, nneg, order)) for s in td.shapes]
-    n = len(td.cells)
     acc: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for combo in product(*per_component):
-        word = [0] * n
-        for ci, entries in enumerate(combo):
-            for slot, p in zip(entries, td.comp_positions[ci]):
-                word[p] = slot
+    for word in tuple_tableau_words(shapes, npos, nneg, order):
         q = tableau_inversions(word, td, order)
         e = super_exponents(word, npos, nneg)
         inner = acc.setdefault(e, {})
@@ -274,13 +230,8 @@ def check_transpose_schur(shapes: Iterable[SkewShape], nvars: int) -> bool:
     td = tuple_data(shapes)
     if nvars < len(td.cells):
         raise ValueError("need at least one variable per cell for Schur expansion")
-    m = td.crossing_count
     lhs = schur_expand(llt_poly(transpose_tuple(shapes), nvars))
-    base = schur_expand(llt_poly(shapes, nvars))
-    rhs = {
-        conjugate(lam): QT({(m - qe, te): v for (qe, te), v in c.terms.items()})
-        for lam, c in base.items()
-    }
+    rhs = omega_schur(schur_expand(_shift_q(llt_poly(shapes, nvars), td.crossing_count)))
     return lhs == rhs
 
 

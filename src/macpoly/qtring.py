@@ -1,12 +1,13 @@
-"""Exact coefficient arithmetic: Laurent polynomials in q, t and polynomials in alpha.
+"""Exact coefficient arithmetic: Laurent polynomials in q and t.
 
-Every computation in this package reduces to arithmetic in these rings over
-arbitrary-precision integers; nothing here ever touches floating point.
+Every computation in this package reduces to arithmetic in this ring over
+arbitrary-precision integers; nothing here ever touches floating point. The
+one-parameter Jack family lives here too, in q alone, with q standing for alpha.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def _power_str(name: str, exp: int) -> str:
@@ -223,105 +224,3 @@ def elementary_coeffs(monomials: Iterable[tuple[int, int]]) -> list[QT]:
         elems = nxt
     return elems
 
-
-class AlphaPoly:
-    """Integer polynomial in the single parameter alpha."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, int] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls) -> AlphaPoly:
-        return cls()
-
-    @classmethod
-    def one(cls) -> AlphaPoly:
-        return cls({0: 1})
-
-    @classmethod
-    def linear(cls, constant: int, slope: int) -> AlphaPoly:
-        return cls({0: constant, 1: slope})
-
-    @staticmethod
-    def _coerce(value) -> AlphaPoly | None:
-        if isinstance(value, AlphaPoly):
-            return value
-        if isinstance(value, int):
-            return AlphaPoly({0: value})
-        return None
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other) -> AlphaPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return AlphaPoly(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> AlphaPoly:
-        return AlphaPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> AlphaPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> AlphaPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
-        return AlphaPoly(terms)
-
-    __rmul__ = __mul__
-
-    def eval_at(self, alpha: int) -> int:
-        return sum(c * alpha**e for e, c in self.terms.items())
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            if e == 0:
-                parts.append(str(c))
-            elif abs(c) == 1:
-                parts.append(("-" if c < 0 else "") + _power_str("alpha", e))
-            else:
-                parts.append(f"{c}*" + _power_str("alpha", e))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    def __repr__(self) -> str:
-        return f"AlphaPoly({self})"
-
-    def to_json(self) -> list[list[int]]:
-        return [[e, self.terms[e]] for e in sorted(self.terms)]
-
-    @classmethod
-    def from_json(cls, data: Iterable[list[int]]) -> AlphaPoly:
-        return cls({int(e): int(c) for e, c in data})

@@ -6,25 +6,28 @@ that must agree. The Jack side realizes the integral form both directly as a
 weighted sum over non-attacking fillings of the conjugate diagram and through
 the signed-alphabet plethysm of the modified polynomial, then degenerates to
 the classical one-parameter family by exact division before taking t -> 1.
+The one-parameter family is also summed directly, over the same fillings
+with another weight per cell; its coefficients are QT values in q alone,
+with q standing for alpha.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
 from .fillings import (
     ORDER1,
     Filling,
+    ShapeData,
     abs_alphabet,
     filling_sum,
     positive_word_statistics,
     shape_data,
 )
 from .macdonald import macdonald
-from .qtring import QT, AlphaPoly
+from .qtring import QT
 from .shapes import Partition, check_partition, conjugate, partitions, weighted_size
 from .symfunc import (
     XPoly,
@@ -143,6 +146,30 @@ def hall_littlewood_schur(mu: Partition) -> dict[Partition, QT]:
 # ---------------------------------------------------------------------------
 # the Jack integral form and its one-parameter limit
 
+def _non_attacking_sum(sd: ShapeData, nvars: int, agree, apart: QT, statistic=None) -> XPoly:
+    """Sum of x^tau times a weight over the non-attacking positive fillings tau
+    of the shape sd: the weight multiplies statistic(tau) (when given) by
+    agree[p] for each cell p holding the letter of the cell below it and by
+    apart for every other cell, bottom row included."""
+    n = len(sd.cells)
+    apart_powers = [QT.one()]
+    for _ in range(n):
+        apart_powers.append(apart_powers[-1] * apart)
+    acc: dict[tuple[int, ...], QT] = {}
+    for word in product(range(1, nvars + 1), repeat=n):
+        if any(word[p] == word[p2] for p, p2 in sd.attack_pairs):
+            continue
+        weight = statistic(word) if statistic else QT.one()
+        apart_cells = n
+        for p, b in enumerate(sd.below):
+            if b >= 0 and word[p] == word[b]:
+                weight = weight * agree[p]
+                apart_cells -= 1
+        e = monomial_exponents(word, nvars)
+        acc[e] = acc.get(e, QT.zero()) + weight * apart_powers[apart_cells]
+    return XPoly(nvars, acc)
+
+
 def integral_form_in_x(mu: Partition, nvars: int) -> XPoly:
     """Direct sum over non-attacking positive fillings of the conjugate shape.
 
@@ -151,27 +178,15 @@ def integral_form_in_x(mu: Partition, nvars: int) -> XPoly:
     (1 - t) over the remaining cells, bottom row included in the latter.
     """
     mu = check_partition(mu)
-    shape = conjugate(mu)
-    sd = shape_data(shape)
+    sd = shape_data(conjugate(mu))
     nmu = weighted_size(mu)
-    n = sum(mu)
-    acc: dict[tuple[int, ...], QT] = {}
-    one_minus_t = QT.one() - QT.t()
-    for word in product(range(1, nvars + 1), repeat=n):
-        if any(word[p] == word[p2] for p, p2 in sd.attack_pairs):
-            continue
+    agree = [QT.one() - QT({(leg + 1, arm + 1): 1}) for leg, arm in zip(sd.legs, sd.arms)]
+
+    def statistic(word) -> QT:
         maj, inv = positive_word_statistics(word, sd)
-        weight = QT({(maj, nmu - inv): 1})
-        for p, b in enumerate(sd.below):
-            if b >= 0 and word[p] == word[b]:
-                weight = weight * (
-                    QT.one() - QT({(sd.legs[p] + 1, sd.arms[p] + 1): 1})
-                )
-            else:
-                weight = weight * one_minus_t
-        e = monomial_exponents(word, nvars)
-        acc[e] = acc.get(e, QT.zero()) + weight
-    return XPoly(nvars, acc)
+        return QT({(maj, nmu - inv): 1})
+
+    return _non_attacking_sum(sd, nvars, agree, QT.one() - QT.t(), statistic)
 
 
 def integral_form_from_macdonald(mu: Partition, nvars: int) -> XPoly:
@@ -197,34 +212,30 @@ def integral_form_m_vec(mu: Partition, nvars: int | None = None) -> dict[Partiti
 
 
 def jack_alpha_in_x(mu: Partition, nvars: int) -> XPoly:
-    """The one-parameter integral-form family, coefficients in Z[alpha]:
-    non-attacking fillings of the conjugate shape where each cell agreeing
-    with its southern neighbour contributes alpha*(leg+1) + arm + 1."""
-    mu = check_partition(mu)
-    shape = conjugate(mu)
-    sd = shape_data(shape)
-    acc: dict[tuple[int, ...], AlphaPoly] = {}
-    for word in product(range(1, nvars + 1), repeat=sum(mu)):
-        if any(word[p] == word[p2] for p, p2 in sd.attack_pairs):
-            continue
-        weight = AlphaPoly.one()
-        for p, b in enumerate(sd.below):
-            if b >= 0 and word[p] == word[b]:
-                weight = weight * AlphaPoly.linear(sd.arms[p] + 1, sd.legs[p] + 1)
-        e = monomial_exponents(word, nvars)
-        acc[e] = acc.get(e, AlphaPoly.zero()) + weight
-    return XPoly(nvars, acc)
+    """The one-parameter integral-form family, coefficients in Z[alpha] stored
+    as QT values in q alone (q stands for alpha): non-attacking fillings of
+    the conjugate shape where each cell agreeing with its southern neighbour
+    contributes alpha*(leg+1) + arm + 1."""
+    sd = shape_data(conjugate(check_partition(mu)))
+    agree = [QT({(1, 0): leg + 1, (0, 0): arm + 1}) for leg, arm in zip(sd.legs, sd.arms)]
+    return _non_attacking_sum(sd, nvars, agree, QT.one())
 
 
-def jack_alpha_m_vec(mu: Partition, nvars: int | None = None) -> dict[Partition, AlphaPoly]:
+def jack_alpha_m_vec(mu: Partition, nvars: int | None = None) -> dict[Partition, QT]:
+    """Monomial expansion of jack_alpha_in_x; each value is a QT in q alone,
+    the polynomial in alpha with q standing for alpha."""
     mu = check_partition(mu)
     n = sum(mu)
     return to_m_basis(jack_alpha_in_x(mu, nvars if nvars is not None else max(n, 1)))
 
 
 def eval_alpha(f: XPoly, alpha: int) -> XPoly:
-    """Evaluate AlphaPoly coefficients at an integer alpha."""
-    return f.map_coefficients(lambda c: c.eval_at(alpha))
+    """Evaluate Jack coefficients (QT in q alone, q standing for alpha) at an
+    integer alpha: each coefficient becomes the sum of c * alpha^a over its
+    q-exponents a."""
+    return f.map_coefficients(
+        lambda c: sum(v * alpha**a for (a, _), v in c.terms.items())
+    )
 
 
 def jack_limit(mu: Partition, nvars: int, alpha: int) -> XPoly:

@@ -1,8 +1,9 @@
 """Sparse polynomials in x_1..x_N and symmetric-function basis bookkeeping.
 
-Coefficients may be any exact ring value with +, *, == and truthiness (QT,
-AlphaPoly, or plain int), so the same machinery serves the q,t world and the
-Jack parameter world. Basis vectors are plain dicts keyed by partitions.
+Coefficients may be any exact ring value with +, *, == and truthiness (QT or
+plain int), so the same machinery serves the q,t world and the Jack parameter
+world, whose coefficients are QT values in q alone with q standing for alpha.
+Basis vectors are plain dicts keyed by partitions.
 """
 
 from __future__ import annotations

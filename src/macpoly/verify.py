@@ -58,7 +58,6 @@ from .macdonald import (
 )
 from .qtring import QT, elementary_coeffs
 from .shapes import (
-    Partition,
     cell_biexponents,
     conjugate,
     dominance_leq,

@@ -53,6 +53,16 @@ def test_vars_below_one_is_a_usage_error(capsys, command, nvars):
     assert "--vars: must be at least 1" in out.err
 
 
+@pytest.mark.parametrize("basis", [[], ["--basis", "m"]])
+def test_hmu_vars_needs_the_x_basis(capsys, basis):
+    with pytest.raises(SystemExit) as exc:
+        main(["hmu", "--mu", "2", "--vars", "1", *basis])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--vars: only --basis x" in out.err
+
+
 def test_hmu_json(capsys):
     code, out, _ = run_cli(capsys, "hmu", "--mu", "2", "--format", "json")
     assert code == 0

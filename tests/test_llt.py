@@ -15,7 +15,7 @@ from macpoly.llt import (
     delete_two_cell_columns,
     llt_poly,
     llt_super_poly,
-    skew_tableaux,
+    skew_super_tableaux,
     standard_tuple_words,
     tableau_inversions,
     transpose_tuple,
@@ -53,9 +53,12 @@ def test_single_component_has_no_inversions():
 
 
 def test_skew_tableaux_counts():
-    assert len(list(skew_tableaux(DOMINO_ROW, 2))) == 3
-    assert len(list(skew_tableaux(DOMINO_COL, 2))) == 1
-    assert len(list(skew_tableaux(SkewShape((2, 1), ()), 2))) == 2
+    assert len(list(skew_super_tableaux(DOMINO_ROW, 2, 0))) == 3
+    assert len(list(skew_super_tableaux(DOMINO_COL, 2, 0))) == 1
+    assert len(list(skew_super_tableaux(SkewShape((2, 1), ()), 2, 0))) == 2
+    # one barred letter may repeat up a column but not along a row
+    assert list(skew_super_tableaux(DOMINO_COL, 0, 1)) == [(-1, -1)]
+    assert list(skew_super_tableaux(DOMINO_ROW, 0, 1)) == []
 
 
 def test_tableau_inversions_on_the_pair_of_cells():
@@ -81,7 +84,7 @@ def test_standardize_word_breaks_ties_by_sign():
 def test_standardization_preserves_inversions():
     shapes = (DOMINO_ROW, CELL)
     td = tuple_data(shapes)
-    for word in tuple_tableau_words(shapes, 2):
+    for word in tuple_tableau_words(shapes, 2, 0):
         std = standardize_word(word)
         assert tableau_inversions(word, td) == tableau_inversions(std, td)
 

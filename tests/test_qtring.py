@@ -1,9 +1,9 @@
-"""Exact coefficient rings: Laurent polynomials in q, t and Z[alpha]."""
+"""Exact coefficient ring: Laurent polynomials in q and t."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from macpoly.qtring import QT, AlphaPoly, elementary_coeffs
+from macpoly.qtring import QT, elementary_coeffs
 
 exponents = st.integers(min_value=-3, max_value=3)
 coeffs = st.integers(min_value=-9, max_value=9)
@@ -129,27 +129,3 @@ def test_elementary_coeffs_two_cells():
 def test_elementary_coeffs_empty():
     assert elementary_coeffs([]) == [QT.one()]
 
-
-alphas = st.dictionaries(st.integers(min_value=0, max_value=4), coeffs, max_size=4).map(
-    AlphaPoly
-)
-
-
-@given(alphas, alphas, alphas)
-def test_alpha_ring_laws(a, b, c):
-    assert a + b == b + a
-    assert a * (b + c) == a * b + a * c
-    assert (a * b) * c == a * (b * c)
-
-
-@given(alphas, alphas, st.integers(min_value=-3, max_value=3))
-def test_alpha_evaluation_is_a_homomorphism(a, b, x):
-    assert (a * b).eval_at(x) == a.eval_at(x) * b.eval_at(x)
-    assert (a + b).eval_at(x) == a.eval_at(x) + b.eval_at(x)
-
-
-def test_alpha_str_and_json():
-    f = AlphaPoly.linear(1, 2)
-    assert str(f) == "2*alpha + 1"
-    assert AlphaPoly.from_json(f.to_json()) == f
-    assert str(AlphaPoly.zero()) == "0"

@@ -1,9 +1,11 @@
 """Cocharge, the q = 0 face, and the Jack integral-form family."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from macpoly.fillings import Filling, cocharge_word, inv, maj
-from macpoly.qtring import QT, AlphaPoly
+from macpoly.qtring import QT
 from macpoly.special import (
     absolute_inv,
     absolute_maj,
@@ -19,7 +21,7 @@ from macpoly.special import (
     jack_alpha_m_vec,
     jack_limit,
 )
-from macpoly.symfunc import to_m_basis
+from macpoly.symfunc import XPoly, to_m_basis
 
 
 def test_cocharge_of_standard_words():
@@ -112,15 +114,42 @@ def test_integral_form_routes_agree():
 
 
 def test_jack_alpha_row_of_two():
+    # q stands for alpha: m_2 has coefficient 1 + alpha, m_11 has 2
     m = jack_alpha_m_vec((2,))
-    assert m[(2,)] == AlphaPoly.linear(1, 1)
-    assert m[(1, 1)] == AlphaPoly({0: 2})
+    assert m[(2,)] == QT({(1, 0): 1, (0, 0): 1})
+    assert m[(1, 1)] == QT({(0, 0): 2})
 
 
 def test_jack_alpha_column_of_two():
     m = jack_alpha_m_vec((1, 1))
-    assert m[(1, 1)] == AlphaPoly({0: 2})
+    assert m[(1, 1)] == QT({(0, 0): 2})
     assert (2,) not in m
+
+
+def test_jack_alpha_of_a_row_of_three():
+    # J_3 = (1 + alpha)(1 + 2 alpha) m_3 + 3(1 + alpha) m_21 + 6 m_111
+    m = jack_alpha_m_vec((3,))
+    assert m == {
+        (3,): QT({(2, 0): 2, (1, 0): 3, (0, 0): 1}),
+        (2, 1): QT({(1, 0): 3, (0, 0): 3}),
+        (1, 1, 1): QT({(0, 0): 6}),
+    }
+
+
+alpha_coeffs = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=4), st.just(0)),
+    st.integers(min_value=-9, max_value=9),
+    max_size=4,
+).map(QT)
+alpha_polys = st.tuples(alpha_coeffs, alpha_coeffs).map(
+    lambda cs: XPoly(1, {(0,): cs[0], (1,): cs[1]})
+)
+
+
+@given(alpha_polys, alpha_polys, st.integers(min_value=-3, max_value=3))
+def test_alpha_evaluation_is_a_homomorphism(f, g, x):
+    assert eval_alpha(f * g, x) == eval_alpha(f, x) * eval_alpha(g, x)
+    assert eval_alpha(f + g, x) == eval_alpha(f, x) + eval_alpha(g, x)
 
 
 def test_jack_limit_matches_alpha_evaluation():
