@@ -6,9 +6,13 @@ vectors (hmu --basis schur|m, hall-littlewood, kostka-table) come from a DP
 over the subsets of cells: a single shape is capped at 10 cells (about 1 s)
 and a table at n = 9 (about 7 s). hmu --basis x, llt, jack and jmu enumerate
 all n^n words and are capped at 7 cells (up to about 40 s for jack and jmu).
-verify, whose signed sums enumerate (2n)^n words, is capped at n = 6, and
+verify is capped at n = 6: its signed sums go through the same DP, and its
+n^n costs are the oracle x_poly, the llt descent classes, the jack direct sum
+and the 4^n involution fillings (verify jack --n-max 6 takes about 36 s).
 two-column shares the single-shape cap. --force-guard lifts a cap.
 kostka-table --workers N opens at most one process per column and per CPU.
+verify with one suite refuses a bound that suite does not take; verify all
+passes each suite the bounds it takes.
 Exit status is 0 on success, 1 when a verification suite reports a failure
 or stdout is closed before the output is written (as by `| head`), and 2 for
 usage errors (including tripped guards).
@@ -37,7 +41,7 @@ from .shapes import (
 )
 from .special import hall_littlewood_schur, integral_form_m_vec, jack_limit
 from .symfunc import XPoly, schur_expand, to_m_basis
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, suite_bounds
 
 # size guards, one per cost class (see the module docstring)
 SHAPE_GUARD = 10
@@ -60,6 +64,10 @@ def _guard(parser: argparse.ArgumentParser, n: int, limit: int, forced: bool) ->
         parser.error(
             f"size {n} exceeds the guard of {limit} cells; pass --force-guard to proceed"
         )
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _at_least(least: int):
@@ -228,7 +236,7 @@ def _cmd_kostka_table(parser, args) -> int:
         path = os.path.join(cache_dir, f"kostka_{n}.json")
         payload = _load_cached_table(path, n)
     if payload is None:
-        payload = _compute_table(n, max(args.workers, 1))
+        payload = _compute_table(n, args.workers)
         if path:
             _store_table(path, payload)
     if args.format == "json":
@@ -343,6 +351,13 @@ def _cmd_verify(parser, args) -> int:
         "word_len": args.word_len,
         "beta_len": args.beta_len,
     }
+    # every bound is taken by some suite; a single suite refuses the others
+    if args.suite != "all":
+        accepted = [b for b in bounds if b in suite_bounds(args.suite)]
+        for bound, value in bounds.items():
+            if value is not None and bound not in accepted:
+                flags = ", ".join(_flag(b) for b in accepted)
+                parser.error(f"argument {_flag(bound)}: verify {args.suite} takes only {flags}")
     failed = 0
     for name in names:
         for label, ok in run_suite(name, **bounds):
@@ -381,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--cache-dir", default=None, help=f"cache directory (else ${CACHE_ENV})")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
     p.add_argument("--force-guard", action="store_true")
     p.set_defaults(fn=_cmd_kostka_table)
 

@@ -408,45 +408,82 @@ def filling_sum(
     return {e: c for e, d in acc.items() if (c := QT(d))}
 
 
-def content_filling_sum(sd: ShapeData, content: Iterable[int]) -> QT:
+def content_filling_sum(
+    sd: ShapeData,
+    content: Iterable[int],
+    plain: tuple[int, int, int] = (1, 0, 0),
+    barred: tuple[int, int, int] | None = None,
+) -> QT:
     """Sum of q^inv t^maj over the fillings of sd.mu with content[k - 1]
     entries equal to k, for k = 1, 2, ...: the coefficient of x^content in
-    the positive filling sum.
+    the positive filling sum. Given barred, the letters are signed and
+    content[k - 1] counts the entries k and k~ together, in ORDER1: the
+    coefficient of x^content in filling_sum(sd, abs_alphabet(m, m, plain,
+    barred), ORDER1), m = len(content). Every plain letter multiplies the
+    term by plain = (sign, q exponent, t exponent), every barred one by
+    barred; without barred, plain weighs the positive letters.
 
     Every term of inv and maj belongs to a pair of cells (an attacking pair,
     or a cell and the cell below it) and is settled once the larger of the
-    two letters is placed. So the letters go in block by block, k = 1, 2, ...,
-    and the state is the bit mask of the filled cells, each holding a smaller
-    letter than the new block. A new cell x gains one inversion for each
-    filled cell that it attacks and precedes in reading order, and it is a
-    descent (adding leg + 1 to maj and taking its arm from inv) when the
-    cell below it is filled. Equal letters add nothing."""
+    two letters is placed. So the letters go in block by block, k = 1, 2, ...
+    (in ORDER1 a plain block k of any size, then a barred block k~ taking
+    the rest of content[k - 1]), and the state is the bit mask of the filled
+    cells, each holding a smaller letter than the new block. A new cell x
+    gains one inversion for each filled cell that it attacks and precedes in
+    reading order, and it is a descent (adding leg + 1 to maj and taking its
+    arm from inv) when the cell below it is filled. Equal plain letters add
+    nothing; equal barred letters compare as I = 1, so a barred cell also
+    counts the cells of its own block as filled."""
     n = len(sd.cells)
     later = [0] * n
     for p, p2 in sd.attack_pairs:
         later[p] |= 1 << p2
-    states: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
-    for size in content:
+    below, arms, legs = sd.below, sd.arms, sd.legs
+
+    def place(states, target, exact, weight, self_comparing):
+        """Every state joined by a block of target - |filled| empty cells
+        (or, when not exact, of any size up to that) weighing weight each."""
+        sign, da, db = weight
         step: dict[int, dict[tuple[int, int], int]] = {}
         for filled, counts in states.items():
             # (bit, inv, maj) that each empty cell adds when it joins the block
             moves = []
             for p in range(n):
                 if not filled >> p & 1:
-                    inv, maj = (later[p] & filled).bit_count(), 0
-                    b = sd.below[p]
+                    inv, maj = (later[p] & filled).bit_count() + da, db
+                    b = below[p]
                     if b >= 0 and filled >> b & 1:
-                        inv, maj = inv - sd.arms[p], sd.legs[p] + 1
+                        inv, maj = inv - arms[p], maj + legs[p] + 1
                     moves.append((1 << p, inv, maj))
-            for block in combinations(moves, size):
-                mask, inv, maj = filled, 0, 0
-                for bit, i, m in block:
-                    mask, inv, maj = mask | bit, inv + i, maj + m
-                acc = step.setdefault(mask, {})
-                for (i, m), c in counts.items():
-                    key = (i + inv, m + maj)
-                    acc[key] = acc.get(key, 0) + c
-        states = step
+            need = target - filled.bit_count()
+            for size in (need,) if exact else range(need + 1):
+                factor = sign**size
+                terms = counts.items() if factor == 1 else [(k, factor * c) for k, c in counts.items()]
+                for block in combinations(moves, size):
+                    mask, inv, maj = filled, 0, 0
+                    for bit, i, m in block:
+                        mask, inv, maj = mask | bit, inv + i, maj + m
+                    if self_comparing:
+                        new = mask ^ filled
+                        for bit, _, _ in block:
+                            p = bit.bit_length() - 1
+                            inv += (later[p] & new).bit_count()
+                            b = below[p]
+                            if b >= 0 and new >> b & 1:
+                                inv, maj = inv - arms[p], maj + legs[p] + 1
+                    acc = step.setdefault(mask, {})
+                    for (i, m), c in terms:
+                        key = (i + inv, m + maj)
+                        acc[key] = acc.get(key, 0) + c
+        return step
+
+    states: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 1}}
+    target = 0
+    for size in content:
+        target += size
+        states = place(states, target, barred is None, plain, False)
+        if barred is not None:
+            states = place(states, target, True, barred, True)
     return QT(states.get((1 << n) - 1, {}))
 
 

@@ -5,8 +5,9 @@ partition diagram weighted by q^inv t^maj. Expanding it in the monomial and
 Schur bases yields the two-parameter Kostka table; signed alphabets give the
 plethystic specializations and the coefficients of the principal evaluation.
 The coefficient of each monomial m_nu is the sum over the fillings with
-content nu, which one subset DP over the cells computes (content_filling_sum);
-the sum over all n^n fillings, macdonald_in_x, is the oracle the tests
+content nu, which one subset DP over the cells computes (content_filling_sum),
+for the signed alphabets of the plethysms too; the sums over all n^n (or
+(2n)^n signed) fillings, such as macdonald_in_x, are the oracles the tests
 compare it with. Sizes are not limited here: the command line guards them.
 """
 
@@ -18,8 +19,8 @@ from typing import Iterable
 
 from .fillings import (
     ORDER1,
-    ORDER2,
     LetterOrder,
+    ShapeData,
     Weight,
     abs_alphabet,
     content_filling_sum,
@@ -38,7 +39,7 @@ from .shapes import (
     leg,
     partitions,
 )
-from .symfunc import XPoly, m_to_schur
+from .symfunc import XPoly, from_m_basis, m_to_schur
 
 
 def _positive(nvars: int) -> dict[int, Weight]:
@@ -65,18 +66,26 @@ class MacdonaldResult:
         return macdonald_in_x(self.mu, sum(self.mu))
 
 
+def content_m_vec(sd: ShapeData, nvars: int, *weights) -> dict[Partition, QT]:
+    """The m_nu coefficients, nu with at most nvars parts, of the filling sum
+    of sd.mu that content_filling_sum(sd, nu, *weights) computes. The DP does
+    not assume symmetry, so each nu is checked against its parts reversed."""
+    m_vec: dict[Partition, QT] = {}
+    for nu in partitions(len(sd.cells)):
+        if len(nu) > nvars:
+            continue
+        c = content_filling_sum(sd, nu, *weights)
+        if nu[::-1] != nu and content_filling_sum(sd, nu[::-1], *weights) != c:
+            raise RuntimeError(f"filling sum for {sd.mu} is not symmetric; internal bug")
+        if c:
+            m_vec[nu] = c
+    return m_vec
+
+
 @lru_cache(maxsize=None)
 def _macdonald(mu: Partition) -> MacdonaldResult:
     n = sum(mu)
-    sd = shape_data(mu)
-    m_vec: dict[Partition, QT] = {}
-    for nu in partitions(n):
-        c = content_filling_sum(sd, nu)
-        # the DP does not assume symmetry: another order of the blocks must agree
-        if nu[::-1] != nu and content_filling_sum(sd, nu[::-1]) != c:
-            raise RuntimeError(f"filling sum for {mu} is not symmetric; internal bug")
-        if c:
-            m_vec[nu] = c
+    m_vec = content_m_vec(shape_data(mu), n)
     if n and m_vec.get((n,)) != QT.one():
         raise RuntimeError(f"m_(n) coefficient for {mu} is not 1; internal bug")
     schur_vec = m_to_schur(m_vec)
@@ -159,24 +168,35 @@ def descent_class_weight(mu: Partition, descents: Iterable[Cell]) -> QT:
 def plethysm_q_minus_one(mu: Partition, nvars: int) -> XPoly:
     """Signed sum (-1)^#barred q^(#plain+inv) t^maj x^|sigma| over signed
     fillings in the interleaved order: the substitution X -> X(q-1)."""
-    return _signed_plethysm(mu, nvars, ORDER1, q_side=True)
+    return _signed_plethysm(mu, nvars, q_side=True)
 
 
 def plethysm_t_minus_one(mu: Partition, nvars: int) -> XPoly:
     """Signed sum (-1)^#barred q^inv t^(#plain+maj) x^|sigma| over signed
-    fillings in the bars_on_top order: the substitution X -> X(t-1)."""
-    return _signed_plethysm(mu, nvars, ORDER2, q_side=False)
+    fillings in the bars_on_top order: the substitution X -> X(t-1).
+
+    It is computed in the interleaved order, like the q side: by HHL's
+    superization the signed sum does not depend on the order chosen on the
+    signed alphabet, so both orders give this polynomial."""
+    return _signed_plethysm(mu, nvars, q_side=False)
+
+
+def plethystic_weights(q_side: bool) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The substitution X -> X(q-1) (q_side) or X(t-1) as (plain, barred)
+    letter weights (sign, q exponent, t exponent): the plain letter k stands
+    for q x_k (or t x_k), the barred k~ for -x_k."""
+    return ((1, 1, 0) if q_side else (1, 0, 1)), (-1, 0, 0)
 
 
 def plethystic_alphabet(npos: int, nneg: int, q_side: bool) -> dict[int, Weight]:
-    """The substitution X -> X(q-1) (q_side) or X(t-1) as letter weights:
-    the plain letter k stands for q x_k (or t x_k), the barred k~ for -x_k."""
-    return abs_alphabet(npos, nneg, (1, 1, 0) if q_side else (1, 0, 1), (-1, 0, 0))
+    """plethystic_weights on the letters 1..npos and 1~..nneg~."""
+    return abs_alphabet(npos, nneg, *plethystic_weights(q_side))
 
 
-def _signed_plethysm(mu: Partition, nvars: int, order: LetterOrder, q_side: bool) -> XPoly:
+def _signed_plethysm(mu: Partition, nvars: int, q_side: bool) -> XPoly:
+    # the sum is symmetric, so its m-coefficients give it in any nvars
     sd = shape_data(check_partition(mu))
-    return XPoly(nvars, filling_sum(sd, plethystic_alphabet(nvars, nvars, q_side), order))
+    return from_m_basis(content_m_vec(sd, nvars, *plethystic_weights(q_side)), nvars)
 
 
 def one_minus_u_coeffs(mu: Partition) -> list[QT]:

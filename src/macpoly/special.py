@@ -4,8 +4,9 @@ The q = 0 face of the two-parameter family is computed along two independent
 routes (killing q in the Schur table, and summing t^cocharge over tableaux)
 that must agree. The Jack side realizes the integral form both directly as a
 weighted sum over non-attacking fillings of the conjugate diagram and through
-the signed-alphabet plethysm of the modified polynomial, then degenerates to
-the classical one-parameter family by exact division before taking t -> 1.
+the signed-alphabet plethysm of the modified polynomial, whose signed sum the
+content DP computes, then degenerates to the classical one-parameter family
+by exact division before taking t -> 1.
 The one-parameter family is also summed directly, over the same fillings
 with another weight per cell; its coefficients are QT values in q alone,
 with q standing for alpha.
@@ -18,19 +19,17 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .fillings import (
-    ORDER1,
     Filling,
     ShapeData,
-    abs_alphabet,
-    filling_sum,
     positive_word_statistics,
     shape_data,
 )
-from .macdonald import macdonald
+from .macdonald import content_m_vec, macdonald
 from .qtring import QT
 from .shapes import Partition, check_partition, conjugate, partitions, weighted_size
 from .symfunc import (
     XPoly,
+    from_m_basis,
     monomial_exponents,
     ssyt_rows,
     tableau_reading_word,
@@ -192,17 +191,18 @@ def integral_form_in_x(mu: Partition, nvars: int) -> XPoly:
 def integral_form_from_macdonald(mu: Partition, nvars: int) -> XPoly:
     """The same polynomial through the signed-alphabet plethysm: barred
     letters carry -t x, the maj parameter is inverted, and the whole sum is
-    rescaled by t^n(mu); the result must be Laurent-free."""
+    rescaled by t^n(mu); the result must be Laurent-free. The signed sum is
+    summed content by content in the interleaved order (content_m_vec)."""
     mu = check_partition(mu)
     nmu = weighted_size(mu)
     # barred letters weigh -x/t before t is inverted
-    sums = filling_sum(shape_data(mu), abs_alphabet(nvars, nvars, (1, 0, 0), (-1, 0, -1)), ORDER1)
-    out = XPoly(nvars, {
-        e: QT({(i, nmu - m): k for (i, m), k in c.terms.items()}) for e, c in sums.items()
-    })
-    if not all(c.is_polynomial() for c in out.terms.values()):
+    sums = content_m_vec(shape_data(mu), nvars, (1, 0, 0), (-1, 0, -1))
+    m_vec = {
+        nu: QT({(i, nmu - m): k for (i, m), k in c.terms.items()}) for nu, c in sums.items()
+    }
+    if not all(c.is_polynomial() for c in m_vec.values()):
         raise RuntimeError(f"integral form for {mu} kept a negative exponent")
-    return out
+    return from_m_basis(m_vec, nvars)
 
 
 def integral_form_m_vec(mu: Partition, nvars: int | None = None) -> dict[Partition, QT]:

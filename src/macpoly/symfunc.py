@@ -170,14 +170,21 @@ def to_m_basis(f: XPoly) -> dict[Partition, object]:
     return out
 
 
+def from_m_basis(m_vec: dict[Partition, object], nvars: int) -> XPoly:
+    """The symmetric polynomial sum c_nu m_nu in nvars variables; the nu with
+    more than nvars parts vanish there. to_m_basis inverts it when nvars is
+    at least the degree."""
+    terms: dict[Exponents, object] = {}
+    for nu, c in m_vec.items():
+        if len(nu) <= nvars:
+            padded = tuple(nu) + (0,) * (nvars - len(nu))
+            terms.update((e, c) for e in set(permutations(padded)))
+    return XPoly(nvars, terms)
+
+
 def m_in_x(rho: Partition, nvars: int) -> XPoly:
     """The monomial symmetric function m_rho in nvars variables."""
-    rho = check_partition(rho)
-    if len(rho) > nvars:
-        return XPoly.zero(nvars)
-    padded = tuple(rho) + (0,) * (nvars - len(rho))
-    one = QT.one()
-    return XPoly(nvars, {e: one for e in set(permutations(padded))})
+    return from_m_basis({check_partition(rho): QT.one()}, nvars)
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ reproducible.
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -323,12 +324,15 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **bounds) -> list[Check]:
+def suite_bounds(name: str) -> tuple[str, ...]:
+    """The bounds (keyword arguments) that the named suite takes."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    fn = SUITES[name]
-    import inspect
+    return tuple(inspect.signature(SUITES[name]).parameters)
 
-    allowed = set(inspect.signature(fn).parameters)
-    chosen = {k: v for k, v in bounds.items() if k in allowed and v is not None}
-    return fn(**chosen)
+
+def run_suite(name: str, **bounds) -> list[Check]:
+    """Run one suite with the bounds it takes; the others, and None values,
+    are dropped."""
+    allowed = suite_bounds(name)
+    return SUITES[name](**{k: v for k, v in bounds.items() if k in allowed and v is not None})

@@ -233,6 +233,16 @@ def test_kostka_table_workers_are_capped(capsys, monkeypatch, workers, n, cpus, 
     assert out == run_cli(capsys, "kostka-table", "--n", n)[1]
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_kostka_table_workers_below_one_are_a_usage_error(capsys, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["kostka-table", "--n", "2", "--workers", workers])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--workers: must be at least 1" in out.err
+
+
 def test_llt_x_basis(capsys):
     code, out, _ = run_cli(
         capsys, "llt", "--mu", "1,1", "--descents", "2,1", "--basis", "x", "--vars", "2"
@@ -330,6 +340,33 @@ def test_verify_refuses_empty_ranges(capsys, argv):
     out = capsys.readouterr()
     assert "[PASS]" not in out.out
     assert "must be at least" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        (["jack", "--samples", "3"], "--n-max"),
+        (["axioms", "--seed", "5"], "--n-max"),
+        (["crystal", "--n-max", "2", "--beta-len", "4"], "--n-max, --alphabet, --word-len"),
+        (["cocharge", "--alphabet", "2"], "--n-max, --samples, --seed"),
+    ],
+)
+def test_a_suite_refuses_a_bound_it_does_not_take(capsys, argv, accepted):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "[PASS]" not in out.out
+    assert f"verify {argv[0]} takes only {accepted}" in out.err
+
+
+def test_verify_all_takes_a_bound_that_some_suite_takes(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, **kw: calls.append((name, kw)) or [])
+    code, _, _ = run_cli(capsys, "verify", "all", "--samples", "3")
+    assert code == 0
+    assert [name for name, _ in calls] == sorted(cli.SUITES)
+    assert all(kw["samples"] == 3 for _, kw in calls)
 
 
 @pytest.mark.parametrize("suite", ["crystal", "all"])

@@ -1,10 +1,12 @@
 """The filling-sum kernel and its eight folds against a naive sum over Filling
-objects that takes maj and inv from the per-filling statistics; the content DP
-against the kernel's monomial coefficients; and the route through Gessel's
+objects that takes maj and inv from the per-filling statistics; the content DP,
+positive and signed, against the kernel's monomial coefficients; and the route
+through Gessel's
 fundamental quasisymmetric functions (F route), kept here as an oracle for
 sizes the kernel cannot afford, against the same statistics, the positive sum
 and macdonald()."""
 
+from importlib import import_module
 from itertools import accumulate, permutations
 
 import pytest
@@ -15,6 +17,7 @@ from macpoly.fillings import (
     ORDER1,
     ORDER2,
     Filling,
+    abs_alphabet,
     attack_inversion_count,
     content_filling_sum,
     descent_cells,
@@ -36,12 +39,20 @@ from macpoly.macdonald import (
     one_minus_u_coeffs,
     plethysm_q_minus_one,
     plethysm_t_minus_one,
+    plethystic_alphabet,
     super_macdonald_in_xy,
 )
 from macpoly.qtring import QT
 from macpoly.shapes import partitions, weighted_size
 from macpoly.special import integral_form_from_macdonald
-from macpoly.symfunc import XPoly, m_to_schur, monomial_exponents, qsym_q, super_exponents
+from macpoly.symfunc import (
+    XPoly,
+    m_to_schur,
+    monomial_exponents,
+    qsym_q,
+    super_exponents,
+    to_m_basis,
+)
 
 SHAPES = [mu for n in range(5) for mu in partitions(n)]
 ALPHABETS = ((1, 0), (2, 0), (0, 2), (2, 1), (2, 2))
@@ -189,10 +200,10 @@ def test_macdonald_matches_the_f_route_at_size_seven(mu):
 
 
 @st.composite
-def shapes_and_contents(draw):
-    """A shape with at most 5 cells and a composition (zeros allowed), either
-    of its size or of a random size."""
-    mu = draw(st.sampled_from([mu for n in range(6) for mu in partitions(n)]))
+def shapes_and_contents(draw, max_cells=5):
+    """A shape with at most max_cells cells and a composition (zeros allowed),
+    either of its size or of a random size."""
+    mu = draw(st.sampled_from([mu for n in range(max_cells + 1) for mu in partitions(n)]))
     length = draw(st.integers(1, 4))
     if draw(st.booleans()):
         cuts = sorted(draw(st.lists(st.integers(0, sum(mu)), min_size=length - 1, max_size=length - 1)))
@@ -210,6 +221,52 @@ def test_content_sum_is_the_monomial_coefficient_of_the_kernel(case):
     positive = {k: (k - 1, 1, 0, 0) for k in range(1, len(alpha) + 1)}
     expected = filling_sum(sd, positive, ORDER1).get(alpha, QT.zero())
     assert content_filling_sum(sd, alpha) == expected
+
+
+SIGNED_WEIGHT = st.tuples(st.sampled_from((1, -1)), st.integers(-1, 2), st.integers(-1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes_and_contents(max_cells=4), SIGNED_WEIGHT, SIGNED_WEIGHT)
+def test_signed_content_sum_is_the_monomial_coefficient_of_the_kernel(case, plain, bars):
+    mu, alpha = case
+    sd = shape_data(mu)
+    m = len(alpha)
+    expected = filling_sum(sd, abs_alphabet(m, m, plain, bars), ORDER1).get(alpha, QT.zero())
+    assert content_filling_sum(sd, alpha, plain, bars) == expected
+
+
+@pytest.mark.parametrize(
+    "mu", [mu for n in range(6) for mu in partitions(n)], ids=lambda mu: ",".join(map(str, mu)) or "empty"
+)
+def test_signed_sums_match_the_kernel_in_the_monomial_basis(mu):
+    # the kernel sums all (2n)^n signed words, the t side in the bars_on_top order
+    n = sum(mu)
+    sd = shape_data(mu)
+    for q_side, order, got in ((True, ORDER1, plethysm_q_minus_one), (False, ORDER2, plethysm_t_minus_one)):
+        expected = XPoly(n, filling_sum(sd, plethystic_alphabet(n, n, q_side), order))
+        assert to_m_basis(got(mu, n)) == to_m_basis(expected), (mu, q_side)
+    nmu = weighted_size(mu)
+    sums = filling_sum(sd, abs_alphabet(n, n, (1, 0, 0), (-1, 0, -1)), ORDER1)
+    expected = XPoly(n, {
+        e: QT({(i, nmu - m): k for (i, m), k in c.terms.items()}) for e, c in sums.items()
+    })
+    assert to_m_basis(integral_form_from_macdonald(mu, n)) == to_m_basis(expected)
+
+
+@pytest.mark.parametrize(
+    "signed_sum", [plethysm_q_minus_one, plethysm_t_minus_one, integral_form_from_macdonald]
+)
+def test_signed_symmetry_check_rejects_a_non_symmetric_expansion(monkeypatch, signed_sum):
+    # the coefficient of x1 x2^2 disagrees with that of x1^2 x2
+    def skewed(sd, content, *weights):
+        c = content_filling_sum(sd, content, *weights)
+        return c + QT.q() if tuple(content) == (1, 2) else c
+
+    # the package exports the function macdonald under the module's name
+    monkeypatch.setattr(import_module("macpoly.macdonald"), "content_filling_sum", skewed)
+    with pytest.raises(RuntimeError, match="not symmetric"):
+        signed_sum((2, 1), 3)
 
 
 def test_an_order_that_ties_two_letters_is_rejected():

@@ -21,7 +21,7 @@ from macpoly.macdonald import (
     super_macdonald_in_xy,
 )
 from macpoly.qtring import QT, elementary_coeffs
-from macpoly.shapes import cell_biexponents, partitions
+from macpoly.shapes import cell_biexponents, conjugate, partitions, weighted_size
 from macpoly.symfunc import XPoly, schur_expand, to_m_basis
 
 
@@ -100,6 +100,19 @@ def test_kostka_table_n3_known_columns():
     assert col[(1, 1, 1)] == [QT.one(), QT.t() + QT.t(2), QT.t(3)]
 
 
+def test_omega_inversion_of_the_kostka_tables():
+    # K~_{lam' mu}(q, t) = q^n(mu') t^n(mu) K~_{lam mu}(1/q, 1/t), an identity
+    # the DP does not build in; 434 entries over n <= 7
+    for n in range(1, 8):
+        parts, matrix = kostka_table(n)
+        row = {lam: r for r, lam in enumerate(parts)}
+        for c, mu in enumerate(parts):
+            a, b = weighted_size(conjugate(mu)), weighted_size(mu)
+            for lam in parts:
+                inverted = QT({(a - i, b - j): k for (i, j), k in matrix[row[lam]][c].terms.items()})
+                assert matrix[row[conjugate(lam)]][c] == inverted, (lam, mu)
+
+
 def test_descent_classes_reassemble_the_polynomial():
     for mu in ((2, 1), (2, 2), (3, 1)):
         n = sum(mu)
@@ -153,8 +166,6 @@ def test_plethysm_sides_swap_under_conjugation():
     for mu in ((2, 1), (3,), (2, 2)):
         nu = tuple(sorted(mu, reverse=True))
         f = to_m_basis(plethysm_q_minus_one(nu, sum(nu)))
-        from macpoly.shapes import conjugate
-
         g = to_m_basis(plethysm_t_minus_one(conjugate(nu), sum(nu)))
         assert {lam: c.swap_qt() for lam, c in f.items()} == g
 
