@@ -8,7 +8,8 @@ and a table at n = 9 (about 7 s). hmu --basis x, llt, jack and jmu enumerate
 all n^n words and are capped at 7 cells (up to about 40 s for jack and jmu).
 verify is capped at n = 6: its signed sums go through the same DP, and its
 n^n costs are the oracle x_poly, the llt descent classes, the jack direct sum
-and the 4^n involution fillings (verify jack --n-max 6 takes about 36 s).
+and the 4^n signed words per shape of the involution checks (verify jack
+--n-max 6 takes about 12 s, involutions --n-max 6 about 2 s).
 two-column shares the single-shape cap. --force-guard lifts a cap.
 kostka-table --workers N opens at most one process per column and per CPU.
 verify with one suite refuses a bound that suite does not take; verify all

@@ -63,6 +63,16 @@ def super_letters(npos: int, nneg: int, order: LetterOrder = ORDER1) -> tuple[in
     return tuple(sorted(letters, key=lambda x: letter_key(x, order)))
 
 
+def letter_codes(letters: Iterable[int], order: LetterOrder = ORDER1) -> dict[int, int]:
+    """{letter: code}, in the order, where the letter of rank r is coded 2r,
+    or 2r + 1 when barred, so that I(x, y) is the test code[x] >= code[y] | 1."""
+    ranked = sorted(letters, key=lambda x: letter_key(x, order))
+    keys = [letter_key(x, order) for x in ranked]
+    if any(a == b for a, b in zip(keys, keys[1:])):
+        raise ValueError("the letter order ties two distinct letters")
+    return {x: 2 * r + (x < 0) for r, x in enumerate(ranked)}
+
+
 class ShapeData(NamedTuple):
     """Precomputed reading-order geometry of one partition diagram."""
 
@@ -220,6 +230,22 @@ def word_statistics(word, sd: ShapeData, order: LetterOrder = ORDER1) -> tuple[i
     return maj, pairs - armsum
 
 
+def coded_statistics(coded, sd: ShapeData) -> tuple[int, int, tuple[int, ...]]:
+    """(maj, inv, descent positions) in one pass, for a word of letter_codes
+    codes."""
+    maj = inv = 0
+    descents = []
+    for p, (b, lg, a) in enumerate(zip(sd.below, sd.legs, sd.arms)):
+        if b >= 0 and coded[p] >= coded[b] | 1:
+            descents.append(p)
+            maj += lg + 1
+            inv -= a
+    for p, p2 in sd.attack_pairs:
+        if coded[p] >= coded[p2] | 1:
+            inv += 1
+    return maj, inv, tuple(descents)
+
+
 def word_descent_positions(word, sd: ShapeData, order: LetterOrder = ORDER1) -> tuple[int, ...]:
     out = []
     for p, b in enumerate(sd.below):
@@ -276,11 +302,14 @@ def inversion_triples(filling: Filling, order: LetterOrder = ORDER1) -> int:
     return count
 
 
-def is_non_attacking(filling: Filling) -> bool:
+def word_is_non_attacking(word, sd: ShapeData) -> bool:
     """No attacking pair carries letters of equal absolute value."""
-    sd = shape_data(filling.shape)
-    w = filling.word
-    return all(abs(w[p]) != abs(w[p2]) for p, p2 in sd.attack_pairs)
+    a = [abs(x) for x in word]
+    return all(a[p] != a[p2] for p, p2 in sd.attack_pairs)
+
+
+def is_non_attacking(filling: Filling) -> bool:
+    return word_is_non_attacking(filling.word, shape_data(filling.shape))
 
 
 def is_standard(filling: Filling) -> bool:
@@ -355,31 +384,30 @@ def filling_sum(
     sd: ShapeData,
     alphabet: dict[int, Weight],
     order: LetterOrder,
-    keep: Callable[[Filling], bool] | None = None,
+    keep: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> dict[tuple[int, ...], QT]:
     """Sum of q^inv t^maj times the entry weights over the fillings of sd.mu
-    with letters from alphabet (those keep accepts, when keep is given), as
-    {x exponent vector: nonzero coefficient}. A descent cell p adds
-    sd.legs[p] + 1 to maj and takes sd.arms[p] from inv; callers may pass
-    other cell weights through sd._replace.
+    with letters from alphabet (those whose reading word of signed letters
+    keep accepts, when keep is given), as {x exponent vector: nonzero
+    coefficient}. A descent cell p adds sd.legs[p] + 1 to maj and takes
+    sd.arms[p] from inv; callers may pass other cell weights through
+    sd._replace.
 
-    Each filling is a word in reading order whose letter of rank r is coded
-    2r, or 2r + 1 when barred, so that I(x, y) is the test x >= y | 1. The
-    weights of a word depend only on its content: they are multiplied out
-    once per content."""
-    ranked = sorted(alphabet, key=lambda x: letter_key(x, order))
-    keys = [letter_key(x, order) for x in ranked]
-    if any(a == b for a, b in zip(keys, keys[1:])):
-        raise ValueError("the letter order ties two distinct letters")
-    letter = {2 * r + (x < 0): x for r, x in enumerate(ranked)}
+    Each filling is a word in reading order whose letters are coded by
+    letter_codes, so that I(x, y) is the test x >= y | 1. The weights of a
+    word depend only on its content: they are multiplied out once per
+    content."""
+    codes = letter_codes(alphabet, order)
+    letter = {c: x for x, c in codes.items()}
     nvars = 1 + max((w[0] for w in alphabet.values()), default=-1)
     n = len(sd.cells)
     # (p, position below p, leg + 1, arm) for every cell p with a cell below it
     descents = [(p, b, sd.legs[p] + 1, sd.arms[p]) for p, b in enumerate(sd.below) if b >= 0]
     pairs = sd.attack_pairs
-    words = product(letter, repeat=n)
-    if keep is not None:
-        words = (w for w in words if keep(Filling(sd.mu, [letter[v] for v in w])))
+    if keep is None:
+        words = product(letter, repeat=n)
+    else:
+        words = (tuple(map(codes.__getitem__, w)) for w in product(codes, repeat=n) if keep(w))
     # a content as one integer: the number of entries coded v is its digit v in base n + 1
     digit = [(n + 1) ** v for v in range(2 * len(letter))]
     by_content: dict[int, tuple] = {}

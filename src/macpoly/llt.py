@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple
 
-from .fillings import ORDER1, LetterOrder, indicator, super_letters
+from .fillings import ORDER1, LetterOrder, indicator, letter_codes, super_letters
 from .macdonald import descent_class_polys
 from .qtring import QT
 from .shapes import (
@@ -131,12 +131,15 @@ def llt_super_poly(
     shapes: Iterable[SkewShape], npos: int, nneg: int, order: LetterOrder = ORDER1
 ) -> XPoly:
     """Signed-alphabet LLT sum; restricting the barred block to zero recovers
-    the plain polynomial."""
+    the plain polynomial. Inversions are counted on letter_codes codes, as
+    tableau_inversions would count them."""
     shapes = tuple(shapes)
-    td = tuple_data(shapes)
+    pairs = tuple_data(shapes).inv_pairs
+    codes = letter_codes(super_letters(npos, nneg, order), order)
     acc: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
     for word in tuple_tableau_words(shapes, npos, nneg, order):
-        q = tableau_inversions(word, td, order)
+        c = [codes[x] for x in word]
+        q = sum(1 for p, p2 in pairs if c[p] >= c[p2] | 1)
         e = super_exponents(word, npos, nneg)
         inner = acc.setdefault(e, {})
         inner[(q, 0)] = inner.get((q, 0), 0) + 1

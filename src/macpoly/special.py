@@ -239,12 +239,16 @@ def eval_alpha(f: XPoly, alpha: int) -> XPoly:
 
 
 def jack_limit(mu: Partition, nvars: int, alpha: int) -> XPoly:
-    """Degenerate the two-parameter integral form: substitute q -> t^alpha,
-    divide by (1 - t)^n exactly, then evaluate at t = 1."""
+    """The one-parameter limit of the integral form of mu (jack_degeneration)."""
     mu = check_partition(mu)
-    n = sum(mu)
-    f = integral_form_in_x(mu, nvars)
-    return f.map_coefficients(
+    return jack_degeneration(integral_form_in_x(mu, nvars), sum(mu), alpha)
+
+
+def jack_degeneration(integral_form: XPoly, n: int, alpha: int) -> XPoly:
+    """Degenerate a two-parameter integral form of a shape of size n:
+    substitute q -> t^alpha, divide by (1 - t)^n exactly, then evaluate at
+    t = 1."""
+    return integral_form.map_coefficients(
         lambda c: c.q_to_t_power(alpha).divide_by_one_minus_t(n).eval_t_one()
     )
 

@@ -29,8 +29,9 @@ from macpoly.fillings import (
     maj,
     shape_data,
     super_fillings,
+    word_is_non_attacking,
 )
-from macpoly.involutions import _signed_sums, is_row_bound_fixed
+from macpoly.involutions import _signed_sums, is_row_bound_fixed, word_is_row_bound_fixed
 from macpoly.macdonald import (
     descent_class_poly,
     descent_class_polys,
@@ -107,9 +108,13 @@ def test_kernel_matches_the_naive_sum():
             nvars = npos + nneg
             for order in ORDERS:
                 term = weighted_term(alphabet, order, nvars)
-                for keep in (None, is_non_attacking):
+                # keep reads the signed reading word; the naive sum filters Filling objects
+                for keep, keep_filling in (
+                    (None, None),
+                    (lambda word: word_is_non_attacking(word, sd), is_non_attacking),
+                ):
                     got = XPoly(nvars, filling_sum(sd, alphabet, order, keep))
-                    assert got == naive(mu, npos, nneg, order, nvars, term, keep), (mu, npos, nneg)
+                    assert got == naive(mu, npos, nneg, order, nvars, term, keep_filling), (mu, npos, nneg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,7 +352,10 @@ def test_signed_sums_match_the_naive_sums():
                         a, b = (a + plain(f), b) if q_side else (a, b + plain(f))
                         return monomial_exponents(f.word, nvars), (-1) ** barred(f), a, b
 
-                    for is_fixed in (is_non_attacking, is_row_bound_fixed):
+                    for is_fixed, is_fixed_filling in (
+                        (word_is_non_attacking, is_non_attacking),
+                        (word_is_row_bound_fixed, is_row_bound_fixed),
+                    ):
                         total, fixed = _signed_sums(mu, npos, nneg, order, q_side, is_fixed)
                         assert total == naive(mu, npos, nneg, order, nvars, term)
-                        assert fixed == naive(mu, npos, nneg, order, nvars, term, is_fixed)
+                        assert fixed == naive(mu, npos, nneg, order, nvars, term, is_fixed_filling)

@@ -1,24 +1,38 @@
-"""Sign-flipping involutions and the cancellation they force."""
+"""Sign-flipping involutions and the cancellation they force; the word-level
+pivots against the rules on Filling objects, and mutants of the pivots that
+the involutions suite must catch."""
 
+import pytest
+
+from macpoly import verify
 from macpoly.fillings import (
     ORDER1,
     ORDER2,
     Filling,
+    coded_statistics,
     descent_cells,
     inv,
     is_non_attacking,
+    letter_codes,
     maj,
+    shape_data,
     super_fillings,
+    super_letters,
 )
 from macpoly.involutions import (
     attack_cancellation_holds,
     attack_involution,
+    attack_pivot,
+    flip,
     is_row_bound_fixed,
     row_bound_cancellation_holds,
     row_bound_involution,
+    row_bound_pivot,
 )
+from macpoly.shapes import attacks, partitions
 
 SHAPES = ((2,), (1, 1), (2, 1))
+SMALL = [mu for n in range(1, 5) for mu in partitions(n)]
 
 
 def plain(filling: Filling) -> int:
@@ -132,3 +146,125 @@ def test_cancellation_needs_a_sign_symmetric_alphabet():
     # shapes where every filling is already fixed collapse trivially
     assert attack_cancellation_holds((1, 1), 2, 1)
     assert row_bound_cancellation_holds((3,), 1, 2)
+
+
+def rule_attack_cell(f: Filling):
+    """The attack rule read off cells: the smallest value a shared by an
+    attacking pair, the last cell v in reading order that is the later cell
+    of such a pair, and the last cell before v that attacks v and holds a."""
+    sd = shape_data(f.shape)
+    a = [abs(x) for x in f.word]
+    cells = sd.cells
+    pairs = [(p, p2) for p in range(len(a)) for p2 in range(p + 1, len(a))
+             if attacks(cells[p], cells[p2]) and a[p] == a[p2]]
+    if not pairs:
+        return None, None
+    value = min(a[p] for p, _ in pairs)
+    v = max(p2 for p, p2 in pairs if a[p] == value)
+    return cells[max(p for p, p2 in pairs if p2 == v and a[p] == value)], value
+
+
+def rule_row_bound_cell(f: Filling):
+    """The row bound rule read off cells: the smallest |entry| below its row
+    index, at the first reading-order cell holding it."""
+    sd = shape_data(f.shape)
+    low = [abs(x) for (i, _), x in zip(sd.cells, f.word) if abs(x) < i]
+    if not low:
+        return None, None
+    value = min(low)
+    return next(c for c, x in zip(sd.cells, f.word) if abs(x) == value), value
+
+
+@pytest.mark.parametrize("alphabet", (2, 3))
+def test_word_pivots_match_the_filling_maps(alphabet):
+    for mu in SMALL:
+        sd = shape_data(mu)
+        for f in super_fillings(mu, alphabet, alphabet):
+            for pivot_of, involution, rule in (
+                (attack_pivot, attack_involution, rule_attack_cell),
+                (row_bound_pivot, row_bound_involution, rule_row_bound_cell),
+            ):
+                p = pivot_of(f.word, sd)
+                step = involution(f)
+                assert (step.flipped_cell, step.pivot_value) == rule(f)
+                if p is None:
+                    assert step.is_fixed and step.after == f
+                else:
+                    assert step.flipped_cell == sd.cells[p]
+                    assert step.pivot_value == abs(f.word[p])
+                    assert step.after.word == flip(f.word, p)
+
+
+@pytest.mark.parametrize("alphabet", (2, 3))
+def test_coded_statistics_match_the_filling_statistics(alphabet):
+    for order in (ORDER1, ORDER2):
+        codes = letter_codes(super_letters(alphabet, alphabet), order)
+        for mu in SMALL:
+            sd = shape_data(mu)
+            for f in super_fillings(mu, alphabet, alphabet):
+                m, i, descents = coded_statistics([codes[x] for x in f.word], sd)
+                assert (m, i) == (maj(f, order), inv(f, order))
+                assert frozenset(sd.cells[p] for p in descents) == descent_cells(f, order)
+
+
+def test_letter_codes_refuse_a_tying_order():
+    with pytest.raises(ValueError):
+        letter_codes((1, -1), abs)
+
+
+def involution_checks(monkeypatch, attribute, mutant, n_max=3) -> dict[str, bool]:
+    """suite_involutions(n_max) with one of the suite's functions replaced,
+    keyed by the first word of each check label."""
+    monkeypatch.setattr(verify, attribute, mutant)
+    return {label.split()[0]: ok for label, ok in verify.suite_involutions(n_max)}
+
+
+def attack_mutant(value=min, last_v=max, last_u=max):
+    """attack_pivot with the value rule and the two cell rules given."""
+
+    def pivot(word, sd):
+        a = [abs(x) for x in word]
+        pairs = [(p, p2) for p, p2 in sd.attack_pairs if a[p] == a[p2]]
+        if not pairs:
+            return None
+        k = value(a[p] for p, _ in pairs)
+        v = last_v(p2 for p, p2 in pairs if a[p] == k)
+        return last_u(p for p in sd.attack_adj[v] if p < v and a[p] == k)
+
+    return pivot
+
+
+def test_the_mutant_factory_at_its_defaults_passes(monkeypatch):
+    checks = involution_checks(monkeypatch, "attack_pivot", attack_mutant())
+    assert all(checks.values())
+
+
+@pytest.mark.parametrize("mutant", [attack_mutant(last_v=min), attack_mutant(last_u=min)])
+def test_an_attack_pivot_off_the_last_cells_breaks_the_weights(monkeypatch, mutant):
+    checks = involution_checks(monkeypatch, "attack_pivot", mutant)
+    assert checks["descents,"] is False
+
+
+def test_the_attack_pivot_value_rule_is_a_free_choice(monkeypatch):
+    # In the interleaved order, flipping k <-> k~ changes only the comparisons
+    # with cells holding k or k~: any value shared by an attacking pair gives
+    # a weight-keeping involution, so the largest value passes every check.
+    checks = involution_checks(monkeypatch, "attack_pivot", attack_mutant(value=max), n_max=5)
+    assert all(checks.values())
+
+
+def test_a_row_bound_pivot_at_the_last_offender_breaks_the_weights(monkeypatch):
+    def last_offender(word, sd):
+        low = [p for p, (x, r) in enumerate(zip(word, sd.row)) if abs(x) < r]
+        return low[-1] if low else None
+
+    checks = involution_checks(monkeypatch, "row_bound_pivot", last_offender)
+    assert checks["descents,"] is False
+
+
+def test_a_fixed_point_test_that_skips_an_attacking_pair_is_caught(monkeypatch):
+    def skips_the_last_pair(word, sd):
+        return all(abs(word[p]) != abs(word[p2]) for p, p2 in sd.attack_pairs[:-1])
+
+    checks = involution_checks(monkeypatch, "word_is_non_attacking", skips_the_last_pair)
+    assert checks["fixed"] is False

@@ -1,11 +1,12 @@
 """LLT polynomials on shape tuples and the two-letter diagonal recursion."""
 
+import random
 from fractions import Fraction
 from importlib import import_module
 
 import pytest
 
-from macpoly.fillings import ORDER1, standardize_word, word_inverse_descent_set
+from macpoly.fillings import ORDER1, ORDER2, standardize_word, word_inverse_descent_set
 from macpoly.llt import (
     beta_recursion_parts,
     binary_inversion_poly,
@@ -23,8 +24,8 @@ from macpoly.llt import (
     tuple_tableau_words,
 )
 from macpoly.qtring import QT
-from macpoly.shapes import SkewShape, ribbon_tuple, skew_from_cells
-from macpoly.symfunc import XPoly, schur_expand
+from macpoly.shapes import SkewShape, ribbon_from_descents, ribbon_tuple, skew_from_cells
+from macpoly.symfunc import XPoly, schur_expand, super_exponents
 
 CELL = SkewShape((1,), ())
 DOMINO_ROW = SkewShape((2,), ())
@@ -93,6 +94,30 @@ def test_super_poly_restricts_to_plain():
     shapes = (CELL, DOMINO_ROW)
     f = llt_super_poly(shapes, 2, 1, ORDER1)
     assert f.prefix_part(2) == llt_poly(shapes, 2)
+
+
+def inversion_sum(shapes, npos, nneg, order) -> XPoly:
+    """The signed LLT sum with q counted by tableau_inversions, word by word."""
+    td = tuple_data(shapes)
+    acc = {}
+    for word in tuple_tableau_words(shapes, npos, nneg, order):
+        e = super_exponents(word, npos, nneg)
+        acc[e] = acc.get(e, QT.zero()) + QT.q(tableau_inversions(word, td, order))
+    return XPoly(npos + nneg, acc)
+
+
+def test_coded_super_poly_matches_the_inversion_sum_on_random_ribbons():
+    rng = random.Random(2004)
+    for _ in range(12):
+        shapes = []
+        for _ in range(rng.randint(1, 3)):
+            length = rng.randint(1, 3)
+            shapes.append(ribbon_from_descents(length, {i for i in range(2, length + 1) if rng.random() < 0.5}))
+        shapes = tuple(shapes)
+        for npos, nneg in ((2, 0), (3, 0), (2, 1), (1, 2)):
+            for order in (ORDER1, ORDER2):
+                got = llt_super_poly(shapes, npos, nneg, order)
+                assert got == inversion_sum(shapes, npos, nneg, order), (shapes, npos, nneg, order)
 
 
 def test_transpose_tuple_reverses_and_conjugates():
