@@ -2,14 +2,23 @@
 
 Every computation enumerates fillings, so sizes are guarded; the library
 itself takes any size. The guards follow the cost. The Schur and monomial
-vectors (hmu --basis schur|m, hall-littlewood, kostka-table) come from a DP
-over the subsets of cells: a single shape is capped at 10 cells (about 1 s)
-and a table at n = 9 (about 7 s). hmu --basis x, llt, jack and jmu enumerate
-all n^n words and are capped at 7 cells (up to about 40 s for jack and jmu).
+vectors (hmu --basis schur|m, hall-littlewood, kostka-table, llt --basis
+schur) come from a DP over the subsets of cells: a single shape is capped at
+10 cells (about 1 s; about 0.6 s for llt, whose slowest tuple is ten single
+cells) and a table at n = 9 (about 7 s). hmu --basis x, jack and jmu
+enumerate all n^n words and are capped at 7 cells (up to about 40 s for jack
+and jmu); llt --basis x writes out every monomial and shares that cap.
 verify is capped at n = 6: its signed sums go through the same DP, and its
 n^n costs are the oracle x_poly, the llt descent classes, the jack direct sum
-and the 4^n signed words per shape of the involution checks (verify jack
---n-max 6 takes about 12 s, involutions --n-max 6 about 2 s).
+and the signed words of the involution checks (verify jack --n-max 6 takes
+about 12 s, llt about 3 s, involutions about 0.7 s). Three verify bounds
+set an exponential count of their own, each capped near 10 s or less:
+crystal's (word, operator) pairs over --alphabet letters and lengths up to
+--word-len at 2,000,000 (about 10 s at --alphabet 4 --word-len 9), the
+(2 * --alphabet) ** --n-max signed words per shape of involutions at 50,000
+(about 6 s at --alphabet 3 --n-max 6), and the 2 ** --beta-len words per llt
+beta sequence at 2 ** 18 (about 3 s at 50 samples). --beta-len above the 185
+values the sampler draws from is refused even with --force-guard.
 two-column shares the single-shape cap. --force-guard lifts a cap.
 kostka-table --workers N opens at most one process per column and per CPU.
 verify with one suite refuses a bound that suite does not take; verify all
@@ -30,7 +39,7 @@ from multiprocessing import Pool
 
 from . import __version__
 from .crystal import two_column_kostka
-from .llt import llt_poly
+from .llt import llt_m_vec, llt_poly
 from .macdonald import macdonald, macdonald_in_x
 from .qtring import QT
 from .shapes import (
@@ -41,14 +50,19 @@ from .shapes import (
     ribbon_tuple,
 )
 from .special import hall_littlewood_schur, integral_form_m_vec, jack_limit
-from .symfunc import XPoly, schur_expand, to_m_basis
-from .verify import SUITES, run_suite, suite_bounds
+from .symfunc import XPoly, m_to_schur, to_m_basis
+from .verify import BETA_VALUES, SUITES, run_suite, suite_bounds
 
 # size guards, one per cost class (see the module docstring)
 SHAPE_GUARD = 10
 TABLE_GUARD = 9
 WORD_GUARD = 7
 VERIFY_GUARD = 6
+# caps on the exponential verify counts (see the module docstring): pairs,
+# signed words per shape, and the beta length
+CRYSTAL_GUARD = 2_000_000
+INVOLUTION_GUARD = 50_000
+BETA_GUARD = 18
 CACHE_SCHEMA = 1
 CACHE_ENV = "MACPOLY_CACHE_DIR"
 
@@ -264,21 +278,20 @@ def _parse_descents(parser, text: str):
 def _cmd_llt(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
-    _guard(parser, n, WORD_GUARD, args.force_guard)
+    _guard(parser, n, SHAPE_GUARD if args.basis == "schur" else WORD_GUARD, args.force_guard)
     descents = _parse_descents(parser, args.descents)
     try:
         shapes = ribbon_tuple(mu, descents)
     except ValueError as exc:
         parser.error(str(exc))
     nvars = args.vars or max(n, 1)
-    f = llt_poly(shapes, nvars)
     if args.basis == "schur":
         if nvars < n:
             parser.error(f"Schur output needs at least {n} variables")
-        vec = schur_expand(f)
+        vec = m_to_schur(llt_m_vec(shapes, n))
         _print_poly(None, vec, n, "schur", args.format, {"mu": list(mu)})
     else:
-        _print_poly(f, None, n, "x", args.format, {"mu": list(mu)})
+        _print_poly(llt_poly(shapes, nvars), None, n, "x", args.format, {"mu": list(mu)})
     return 0
 
 
@@ -337,6 +350,41 @@ def _cmd_two_column(parser, args) -> int:
     return 0
 
 
+def _crystal_pairs(alphabet: int, word_len: int) -> int:
+    """The (word, operator) pairs verify crystal visits: each length up to
+    word_len over each alphabet 2..alphabet, then the recording check at
+    the top. Counting stops once the sum passes CRYSTAL_GUARD."""
+    total = 0
+    for length in range(1, word_len + 1):
+        for a in range(2, alphabet + 1):
+            total += a**length * (a - 1)
+            if total > CRYSTAL_GUARD:
+                return total
+    return total + alphabet**word_len * (alphabet - 1)
+
+
+def _guard_words(parser, name: str, bounds: dict, forced: bool) -> None:
+    """Refuse the bounds at which the named suite walks more words than its
+    cap; a bound left out takes the suite's default."""
+    if forced or name not in ("crystal", "involutions", "llt"):
+        return
+    b = {k: v if bounds.get(k) is None else bounds[k] for k, v in suite_bounds(name).items()}
+    if name == "crystal":
+        words = _crystal_pairs(b["alphabet"], b["word_len"])
+        cap, what = CRYSTAL_GUARD, "word and operator pairs"
+    elif name == "involutions":
+        words = (2 * b["alphabet"]) ** b["n_max"]
+        cap, what = INVOLUTION_GUARD, "signed words per shape"
+    else:
+        words = 2 ** b["beta_len"]
+        cap, what = 2**BETA_GUARD, "words per beta sequence"
+    if words > cap:
+        parser.error(
+            f"verify {name} would walk more than the guard of {cap} {what}; "
+            "pass --force-guard to proceed"
+        )
+
+
 def _cmd_verify(parser, args) -> int:
     if args.n_max is not None:
         _guard(parser, args.n_max, VERIFY_GUARD, args.force_guard)
@@ -359,6 +407,13 @@ def _cmd_verify(parser, args) -> int:
             if value is not None and bound not in accepted:
                 flags = ", ".join(_flag(b) for b in accepted)
                 parser.error(f"argument {_flag(bound)}: verify {args.suite} takes only {flags}")
+    if args.beta_len is not None and args.beta_len > len(BETA_VALUES):
+        parser.error(
+            f"argument --beta-len: the sampler draws from {len(BETA_VALUES)} distinct values, "
+            f"got {args.beta_len}"
+        )
+    for name in names:
+        _guard_words(parser, name, bounds, args.force_guard)
     failed = 0
     for name in names:
         for label, ok in run_suite(name, **bounds):

@@ -441,6 +441,7 @@ def content_filling_sum(
     content: Iterable[int],
     plain: tuple[int, int, int] = (1, 0, 0),
     barred: tuple[int, int, int] | None = None,
+    rule: tuple[tuple[int, int], ...] | None = None,
 ) -> QT:
     """Sum of q^inv t^maj over the fillings of sd.mu with content[k - 1]
     entries equal to k, for k = 1, 2, ...: the coefficient of x^content in
@@ -461,12 +462,37 @@ def content_filling_sum(
     reading order, and it is a descent (adding leg + 1 to maj and taking its
     arm from inv) when the cell below it is filled. Equal plain letters add
     nothing; equal barred letters compare as I = 1, so a barred cell also
-    counts the cells of its own block as filled."""
+    counts the cells of its own block as filled.
+
+    A placement rule, given as one (strict, weak) pair of bit masks per cell,
+    restricts the fillings: a cell joins a block only when every cell of its
+    strict mask is filled and every cell of its weak mask is filled or in the
+    same block. The semistandard tuples of llt.llt_m_vec take the cell below
+    as the strict mask and the cell to the left as the weak one."""
     n = len(sd.cells)
     later = [0] * n
     for p, p2 in sd.attack_pairs:
         later[p] |= 1 << p2
     below, arms, legs = sd.below, sd.arms, sd.legs
+    full = (1 << n) - 1
+    if rule is not None:
+        strict = [s for s, _ in rule]
+        weak = {1 << p: w for p, (_, w) in enumerate(rule)}
+
+    def ready(filled):
+        """The empty cells whose strict masks are filled."""
+        return sum(1 << p for p in range(n) if not (filled >> p & 1 or strict[p] & ~filled))
+
+    def joinable(moves, size, filled):
+        """The blocks of size cells among moves whose weak masks are covered."""
+
+        def accepted(block):
+            mask = filled
+            for bit, _, _ in block:
+                mask |= bit
+            return all(not weak[bit] & ~mask for bit, _, _ in block)
+
+        return filter(accepted, combinations(moves, size))
 
     def place(states, target, exact, weight, self_comparing):
         """Every state joined by a block of target - |filled| empty cells
@@ -474,10 +500,11 @@ def content_filling_sum(
         sign, da, db = weight
         step: dict[int, dict[tuple[int, int], int]] = {}
         for filled, counts in states.items():
-            # (bit, inv, maj) that each empty cell adds when it joins the block
+            # (bit, inv, maj) that each admitted cell adds when it joins the block
             moves = []
+            admitted = full ^ filled if rule is None else ready(filled)
             for p in range(n):
-                if not filled >> p & 1:
+                if admitted >> p & 1:
                     inv, maj = (later[p] & filled).bit_count() + da, db
                     b = below[p]
                     if b >= 0 and filled >> b & 1:
@@ -487,7 +514,11 @@ def content_filling_sum(
             for size in (need,) if exact else range(need + 1):
                 factor = sign**size
                 terms = counts.items() if factor == 1 else [(k, factor * c) for k, c in counts.items()]
-                for block in combinations(moves, size):
+                if rule is None:
+                    blocks = combinations(moves, size)
+                else:
+                    blocks = joinable(moves, size, filled)
+                for block in blocks:
                     mask, inv, maj = filled, 0, 0
                     for bit, i, m in block:
                         mask, inv, maj = mask | bit, inv + i, maj + m
@@ -512,7 +543,7 @@ def content_filling_sum(
         states = place(states, target, barred is None, plain, False)
         if barred is not None:
             states = place(states, target, True, barred, True)
-    return QT(states.get((1 << n) - 1, {}))
+    return QT(states.get(full, {}))
 
 
 def abs_alphabet(

@@ -8,6 +8,12 @@ the entry at u dominates the entry at v, and the generating function of
 semistandard tuples weighted by q^inversions is the LLT polynomial. Signed
 alphabets are allowed: plain letters form horizontal strips, barred letters
 vertical strips.
+
+The plain polynomial comes from its monomial coefficients (llt_m_vec): one
+content DP per m_nu (fillings.content_filling_sum), which places the letters
+block by block under the semistandard placement rule and settles each
+inversion pair when its larger letter is placed. llt_super_poly enumerates
+the signed tuples (tuple_tableau_words) and is the DP's test oracle.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple
 
-from .fillings import ORDER1, LetterOrder, indicator, letter_codes, super_letters
-from .macdonald import descent_class_polys
+from .fillings import ORDER1, LetterOrder, ShapeData, indicator, letter_codes, super_letters
+from .macdonald import content_m_vec, descent_class_polys
 from .qtring import QT
 from .shapes import (
     Cell,
@@ -29,7 +35,14 @@ from .shapes import (
     ribbon_tuple,
     skew_from_cells,
 )
-from .symfunc import XPoly, monomial_exponents, omega_schur, schur_expand, super_exponents
+from .symfunc import (
+    XPoly,
+    from_m_basis,
+    m_to_schur,
+    monomial_exponents,
+    omega_schur,
+    super_exponents,
+)
 
 ShapeTuple = tuple[SkewShape, ...]
 
@@ -122,9 +135,31 @@ def tuple_tableau_words(
         yield tuple(word)
 
 
+def llt_m_vec(shapes: Iterable[SkewShape], nvars: int) -> dict[Partition, QT]:
+    """The m_nu coefficients, nu with at most nvars parts, of the LLT
+    polynomial: for each nu the content DP (content_filling_sum) places the
+    letters 1, 2, ... block by block on the cells in content reading order.
+    An inversion pair is settled when its larger letter is placed, as an
+    attacking pair is; a cell waits for the cell below it (columns are
+    strict), and its left neighbour is filled or in the same block (rows are
+    weak). There is no maj term."""
+    td = tuple_data(tuple(shapes))
+    n = len(td.cells)
+    pos = {pair: p for p, pair in enumerate(td.cells)}
+    rule = []
+    for ci, (i, j) in td.cells:
+        lower, left = pos.get((ci, (i - 1, j))), pos.get((ci, (i, j - 1)))
+        rule.append((0 if lower is None else 1 << lower, 0 if left is None else 1 << left))
+    # the DP reads the cell count, the pairs and the descent geometry, here empty
+    sd = ShapeData(
+        (), td.cells, {}, (), (0,) * n, (0,) * n, (-1,) * n, td.inv_pairs, (), (), ()
+    )
+    return content_m_vec(sd, nvars, (1, 0, 0), None, tuple(rule))
+
+
 def llt_poly(shapes: Iterable[SkewShape], nvars: int) -> XPoly:
     """The LLT polynomial: sum of q^inversions x^T over semistandard tuples."""
-    return llt_super_poly(shapes, nvars, 0)
+    return from_m_basis(llt_m_vec(shapes, nvars), nvars)
 
 
 def llt_super_poly(
@@ -209,11 +244,9 @@ def check_ribbon_factorization(mu: Partition, nvars: int) -> bool:
     )
 
 
-def _shift_q(f: XPoly, shift: int) -> XPoly:
-    """Multiply by q^shift and replace q by 1/q in every coefficient."""
-    return f.map_coefficients(
-        lambda c: QT({(shift - qe, te): v for (qe, te), v in c.terms.items()})
-    )
+def _shift_q(c: QT, shift: int) -> QT:
+    """Multiply by q^shift and replace q by 1/q."""
+    return QT({(shift - qe, te): v for (qe, te), v in c.terms.items()})
 
 
 def check_transpose_identity(shapes: Iterable[SkewShape], nvars: int) -> bool:
@@ -222,20 +255,22 @@ def check_transpose_identity(shapes: Iterable[SkewShape], nvars: int) -> bool:
     shapes = tuple(shapes)
     m = tuple_data(shapes).crossing_count
     lhs = llt_poly(transpose_tuple(shapes), nvars)
-    rhs = _shift_q(llt_super_poly(shapes, 0, nvars, ORDER1), m)
+    rhs = llt_super_poly(shapes, 0, nvars, ORDER1).map_coefficients(lambda c: _shift_q(c, m))
     return lhs == rhs
 
 
 def check_transpose_schur(shapes: Iterable[SkewShape], nvars: int) -> bool:
     """Schur expansion form of the transpose identity: conjugate the labels,
-    invert q, multiply by q^crossings."""
+    invert q, multiply by q^crossings. Both sides come from m-vectors, which
+    do not depend on nvars once it covers the cells."""
     shapes = tuple(shapes)
     td = tuple_data(shapes)
-    if nvars < len(td.cells):
+    n = len(td.cells)
+    if nvars < n:
         raise ValueError("need at least one variable per cell for Schur expansion")
-    lhs = schur_expand(llt_poly(transpose_tuple(shapes), nvars))
-    rhs = omega_schur(schur_expand(_shift_q(llt_poly(shapes, nvars), td.crossing_count)))
-    return lhs == rhs
+    lhs = m_to_schur(llt_m_vec(transpose_tuple(shapes), n))
+    rhs = m_to_schur(llt_m_vec(shapes, n))
+    return lhs == omega_schur({lam: _shift_q(c, td.crossing_count) for lam, c in rhs.items()})
 
 
 def binary_inversion_poly(betas: Iterable[Fraction]) -> XPoly:

@@ -76,7 +76,7 @@ def content_m_vec(sd: ShapeData, nvars: int, *weights) -> dict[Partition, QT]:
             continue
         c = content_filling_sum(sd, nu, *weights)
         if nu[::-1] != nu and content_filling_sum(sd, nu[::-1], *weights) != c:
-            raise RuntimeError(f"filling sum for {sd.mu} is not symmetric; internal bug")
+            raise RuntimeError(f"filling sum for {sd.mu or sd.cells} is not symmetric; internal bug")
         if c:
             m_vec[nu] = c
     return m_vec

@@ -37,7 +37,6 @@ from .fillings import (
 from .involutions import (
     attack_cancellation_holds,
     attack_pivot,
-    flip,
     row_bound_cancellation_holds,
     row_bound_pivot,
     word_is_row_bound_fixed,
@@ -125,32 +124,49 @@ def suite_axioms(n_max: int = 4) -> list[Check]:
 def suite_involutions(n_max: int = 3, alphabet: int = 2) -> list[Check]:
     """Both sign-flipping maps: involutivity, preserved statistics, collapse.
 
-    Each shape's signed words are walked once. A word w and its image g under
-    a map are compared once per pair, from the side whose pivot letter is
-    plain, on letter_codes codes: descents, maj and #plain + inv in the
-    interleaved order for the attack map, inv and #plain + maj in the
-    bars-on-top order for the row bound map."""
+    Each shape's signed words are listed once, in the order of product, with
+    their barred counts and their letter_codes codes in both orders. Each
+    map's pivot is computed once per word and stored by the word's index;
+    flipping the bar at position p moves that index by a fixed amount, so
+    the image of a word and its pivot are looked up, not recomputed. A word w
+    and its image g are compared once per pair, from the side whose pivot
+    letter is plain: descents, maj and #plain + inv in the interleaved order
+    for the attack map, inv and #plain + maj in the bars-on-top order for the
+    row bound map. The fixed points the walk finds are the ones the signed
+    sums must collapse onto."""
     invol = fixed_sets = weights = collapse = True
     letters = super_letters(alphabet, alphabet)
+    index = {x: k for k, x in enumerate(letters)}
     maps = (
-        (attack_pivot, word_is_non_attacking, letter_codes(letters, ORDER1), _attack_weights),
-        (row_bound_pivot, word_is_row_bound_fixed, letter_codes(letters, ORDER2), _row_weights),
+        (attack_pivot, word_is_non_attacking, ORDER1, _attack_weights, attack_cancellation_holds),
+        (row_bound_pivot, word_is_row_bound_fixed, ORDER2, _row_weights, row_bound_cancellation_holds),
     )
     for mu in _all_partitions(n_max):
         sd = shape_data(mu)
-        for w in product(letters, repeat=len(sd.cells)):
-            for pivot_of, is_fixed, codes, weight in maps:
-                p = pivot_of(w, sd)
+        n = len(sd.cells)
+        words = list(product(letters, repeat=n))
+        barred = list(map(sum, product([x < 0 for x in letters], repeat=n)))
+        # flipping the bar of letter x at position p moves a word's index by shift[p][x]
+        shift = [
+            {x: (index[-x] - index[x]) * len(letters) ** (n - 1 - p) for x in letters}
+            for p in range(n)
+        ]
+        for pivot_of, is_fixed, order, weight, cancels in maps:
+            codes = letter_codes(letters, order)
+            coded = list(product([codes[x] for x in letters], repeat=n))
+            pivots = [pivot_of(w, sd) for w in words]
+            fixed = set()
+            for i, (w, p) in enumerate(zip(words, pivots)):
                 fixed_sets &= (p is None) == is_fixed(w, sd)
                 if p is None:
+                    fixed.add(w)
                     continue
-                g = flip(w, p)
-                invol &= pivot_of(g, sd) == p
+                g = i + shift[p][w[p]]
+                invol &= pivots[g] == p
                 if w[p] > 0:
-                    weights &= weight(w, sd, codes) == weight(g, sd, codes)
-                    weights &= abs(_barred(w) - _barred(g)) == 1
-        collapse &= attack_cancellation_holds(mu, alphabet, alphabet)
-        collapse &= row_bound_cancellation_holds(mu, alphabet, alphabet)
+                    weights &= weight(coded[i], barred[i], sd) == weight(coded[g], barred[g], sd)
+                    weights &= abs(barred[i] - barred[g]) == 1
+            collapse &= cancels(mu, alphabet, alphabet, fixed)
     return [
         (f"both maps are involutions (n <= {n_max}, alphabet {alphabet})", invol),
         (f"fixed points are the non-attacking / row-bounded fillings (n <= {n_max})", fixed_sets),
@@ -159,23 +175,25 @@ def suite_involutions(n_max: int = 3, alphabet: int = 2) -> list[Check]:
     ]
 
 
-def _barred(w) -> int:
-    return sum(1 for x in w if x < 0)
-
-
-def _attack_weights(w, sd, codes) -> tuple:
+def _attack_weights(coded, barred: int, sd) -> tuple:
     """What the attack map keeps: (descents, maj, #plain + inv)."""
-    m, i, descents = coded_statistics([codes[x] for x in w], sd)
-    return descents, m, len(w) - _barred(w) + i
+    m, i, descents = coded_statistics(coded, sd)
+    return descents, m, len(coded) - barred + i
 
 
-def _row_weights(w, sd, codes) -> tuple:
+def _row_weights(coded, barred: int, sd) -> tuple:
     """What the row bound map keeps: (inv, #plain + maj)."""
-    m, i, _ = coded_statistics([codes[x] for x in w], sd)
-    return i, len(w) - _barred(w) + m
+    m, i, _ = coded_statistics(coded, sd)
+    return i, len(coded) - barred + m
+
+
+# the values that _random_increasing_fractions draws from
+BETA_VALUES = frozenset(Fraction(a, b) for a in range(-24, 25) for b in range(1, 7))
 
 
 def _random_increasing_fractions(rng: random.Random, length: int) -> tuple[Fraction, ...]:
+    if length > len(BETA_VALUES):
+        raise ValueError(f"cannot draw {length} distinct values from {len(BETA_VALUES)}")
     values: set[Fraction] = set()
     while len(values) < length:
         values.add(Fraction(rng.randint(-24, 24), rng.randint(1, 6)))
@@ -328,11 +346,12 @@ SUITES = {
 }
 
 
-def suite_bounds(name: str) -> tuple[str, ...]:
-    """The bounds (keyword arguments) that the named suite takes."""
+def suite_bounds(name: str) -> dict[str, object]:
+    """The bounds (keyword arguments) that the named suite takes, with their
+    defaults."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return tuple(inspect.signature(SUITES[name]).parameters)
+    return {k: p.default for k, p in inspect.signature(SUITES[name]).parameters.items()}
 
 
 def run_suite(name: str, **bounds) -> list[Check]:

@@ -73,12 +73,14 @@ def test_hmu_json(capsys):
 
 
 def test_guards_exit_with_usage_error(capsys):
-    # one guard per cost class: the content DP for one shape (10 cells) and
-    # for a table (n = 9), n^n word sums (7 cells), verify (n = 6)
+    # one guard per cost class: the content DP for one shape (10 cells, also
+    # llt --basis schur) and for a table (n = 9), n^n word sums and llt
+    # --basis x (7 cells), verify (n = 6)
     for argv in (
         ["hmu", "--mu", "11"],
         ["hmu", "--mu", "8", "--basis", "x"],
         ["llt", "--mu", "8"],
+        ["llt", "--mu", "11", "--basis", "schur"],
         ["kostka-table", "--n", "10"],
         ["verify", "axioms", "--n-max", "7"],
     ):
@@ -86,6 +88,48 @@ def test_guards_exit_with_usage_error(capsys):
             main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_llt_schur_of_eight_cells_passes_the_guard(capsys):
+    # the Schur vector comes from the content DP, so it shares the single-shape
+    # guard; a one-row shape has no descent cells, so H~ is its one LLT term
+    code, out, err = run_cli(capsys, "llt", "--mu", "8", "--basis", "schur")
+    assert code == 0
+    assert err == ""
+    assert run_cli(capsys, "hmu", "--mu", "8") == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # (word, operator) pairs past 2,000,000
+        ["crystal", "--alphabet", "4", "--word-len", "10"],
+        ["crystal", "--alphabet", "300", "--word-len", "1"],
+        ["all", "--alphabet", "5", "--word-len", "9"],
+        # (2 * alphabet)^n signed words per shape past 50,000
+        ["involutions", "--alphabet", "4", "--n-max", "6"],
+        ["all", "--alphabet", "4", "--n-max", "6"],
+        # 2^len words per beta sequence past 2^18
+        ["llt", "--beta-len", "19"],
+    ],
+)
+def test_exponential_verify_bounds_are_guarded(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "[PASS]" not in out.out
+    assert "pass --force-guard" in out.err
+
+
+@pytest.mark.parametrize("suite", ["llt", "all"])
+def test_a_beta_length_the_sampler_cannot_meet_is_refused_even_when_forced(capsys, suite):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--beta-len", "186", "--force-guard"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert "[PASS]" not in out.out
+    assert "185 distinct values" in out.err
 
 
 def test_forced_hall_littlewood_of_nine_cells(capsys):

@@ -268,3 +268,16 @@ def test_a_fixed_point_test_that_skips_an_attacking_pair_is_caught(monkeypatch):
 
     checks = involution_checks(monkeypatch, "word_is_non_attacking", skips_the_last_pair)
     assert checks["fixed"] is False
+
+
+def test_a_pivot_that_reads_the_sign_of_its_letter_is_not_an_involution(monkeypatch):
+    # the suite stores each word's pivot and looks up the image's pivot: a map
+    # that flips elsewhere once the pivot letter is barred must still be caught
+    def sign_reading(word, sd):
+        p = attack_pivot(word, sd)
+        if p is None or word[p] > 0:
+            return p
+        return max(q for q, x in enumerate(word) if abs(x) == abs(word[p]))
+
+    checks = involution_checks(monkeypatch, "attack_pivot", sign_reading)
+    assert checks["both"] is False

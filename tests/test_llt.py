@@ -3,10 +3,19 @@
 import random
 from fractions import Fraction
 from importlib import import_module
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from macpoly.fillings import ORDER1, ORDER2, standardize_word, word_inverse_descent_set
+from macpoly.fillings import (
+    ORDER1,
+    ORDER2,
+    content_filling_sum,
+    standardize_word,
+    word_inverse_descent_set,
+)
 from macpoly.llt import (
     beta_recursion_parts,
     binary_inversion_poly,
@@ -14,6 +23,7 @@ from macpoly.llt import (
     check_transpose_identity,
     check_transpose_schur,
     delete_two_cell_columns,
+    llt_m_vec,
     llt_poly,
     llt_super_poly,
     skew_super_tableaux,
@@ -24,8 +34,15 @@ from macpoly.llt import (
     tuple_tableau_words,
 )
 from macpoly.qtring import QT
-from macpoly.shapes import SkewShape, ribbon_from_descents, ribbon_tuple, skew_from_cells
-from macpoly.symfunc import XPoly, schur_expand, super_exponents
+from macpoly.shapes import (
+    SkewShape,
+    partitions,
+    reading_cells,
+    ribbon_from_descents,
+    ribbon_tuple,
+    skew_from_cells,
+)
+from macpoly.symfunc import XPoly, schur_expand, super_exponents, to_m_basis
 
 CELL = SkewShape((1,), ())
 DOMINO_ROW = SkewShape((2,), ())
@@ -118,6 +135,66 @@ def test_coded_super_poly_matches_the_inversion_sum_on_random_ribbons():
             for order in (ORDER1, ORDER2):
                 got = llt_super_poly(shapes, npos, nneg, order)
                 assert got == inversion_sum(shapes, npos, nneg, order), (shapes, npos, nneg, order)
+
+
+@st.composite
+def skew_shapes(draw):
+    """An anchored skew shape with at most 3 rows and 4 columns, possibly empty."""
+    outer = sorted(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)), reverse=True)
+    inner = []
+    for part in outer:
+        inner.append(draw(st.integers(0, min(part, inner[-1] if inner else part))))
+    return SkewShape(tuple(outer), tuple(inner))
+
+
+@st.composite
+def skew_tuples_and_nvars(draw, max_cells=6):
+    """Up to three skew shapes with at most max_cells cells in all (a shape
+    that would pass the budget is dropped), and nvars in 1..cells."""
+    shapes, budget = [], max_cells
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(skew_shapes())
+        if shape.size() <= budget:
+            shapes.append(shape)
+            budget -= shape.size()
+    return tuple(shapes), draw(st.integers(1, max(max_cells - budget, 1)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(skew_tuples_and_nvars())
+def test_llt_dp_matches_the_tableau_sum_on_skew_tuples(case):
+    shapes, nvars = case
+    assert llt_poly(shapes, nvars) == llt_super_poly(shapes, nvars, 0)
+
+
+def ribbon_tuples(n_max):
+    """Every ribbon tuple of every shape with at most n_max cells."""
+    for n in range(n_max + 1):
+        for mu in partitions(n):
+            upper = [c for c in reading_cells(mu) if c[0] >= 2]
+            for k in range(len(upper) + 1):
+                for d in combinations(upper, k):
+                    yield mu, d, ribbon_tuple(mu, d)
+
+
+def test_llt_dp_matches_the_tableau_sum_on_every_ribbon_tuple():
+    for mu, d, shapes in ribbon_tuples(5):
+        n = sum(mu)
+        for nvars in range(1, n + 1):
+            assert llt_poly(shapes, nvars) == llt_super_poly(shapes, nvars, 0), (mu, d, nvars)
+        assert llt_m_vec(shapes, n) == to_m_basis(llt_super_poly(shapes, max(n, 1), 0)), (mu, d)
+
+
+def test_llt_symmetry_check_rejects_a_non_symmetric_expansion(monkeypatch):
+    # the coefficient of x1 x2^2 disagrees with that of x1^2 x2
+    def skewed(sd, content, *weights):
+        c = content_filling_sum(sd, content, *weights)
+        return c + QT.q() if tuple(content) == (1, 2) else c
+
+    # the package exports the function macdonald under the module's name
+    monkeypatch.setattr(import_module("macpoly.macdonald"), "content_filling_sum", skewed)
+    with pytest.raises(RuntimeError, match="not symmetric"):
+        llt_m_vec((CELL, DOMINO_ROW), 3)
 
 
 def test_transpose_tuple_reverses_and_conjugates():
