@@ -11,14 +11,13 @@ and jmu); llt --basis x writes out every monomial and shares that cap.
 verify is capped at n = 6: its signed sums go through the same DP, and its
 n^n costs are the oracle x_poly, the llt descent classes, the jack direct sum
 and the signed words of the involution checks (verify jack --n-max 6 takes
-about 12 s, llt about 3 s, involutions about 0.7 s). Three verify bounds
-set an exponential count of their own, each capped near 10 s or less:
-crystal's (word, operator) pairs over --alphabet letters and lengths up to
---word-len at 2,000,000 (about 10 s at --alphabet 4 --word-len 9), the
-(2 * --alphabet) ** --n-max signed words per shape of involutions at 50,000
-(about 6 s at --alphabet 3 --n-max 6), and the 2 ** --beta-len words per llt
-beta sequence at 2 ** 18 (about 3 s at 50 samples). --beta-len above the 185
-values the sampler draws from is refused even with --force-guard.
+about 12 s, llt about 3 s, involutions about 0.7 s). Three counts that grow
+exponentially in other verify bounds have caps of their own: crystal's
+(word, operator) pairs at 2,000,000 (about 10 s at --alphabet 4 --word-len
+9), the (2 * alphabet)^n signed words per shape of involutions at 50,000
+(about 6 s at --alphabet 3 --n-max 6) and the 2^len words per llt beta
+sequence at --beta-len 18 (about 3 s at 50 samples). A --beta-len above the
+185 values the sampler draws from is refused even with --force-guard.
 two-column shares the single-shape cap. --force-guard lifts a cap.
 kostka-table --workers N opens at most one process per column and per CPU.
 verify with one suite refuses a bound that suite does not take; verify all

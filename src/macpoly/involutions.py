@@ -127,17 +127,13 @@ def _signed_sums(
     return total, XPoly(nvars, fixed)
 
 
-def _fixed_test(is_fixed, fixed: set[tuple[int, ...]] | None):
-    return is_fixed if fixed is None else lambda word, sd: word in fixed
-
-
 def attack_cancellation_holds(
     mu: Partition, npos: int, nneg: int, fixed: set[tuple[int, ...]] | None = None
 ) -> bool:
     """Non-fixed fillings cancel out of the signed q^(#plain+inv) t^maj sum.
     The fixed points are the non-attacking words, or the reading words in
     fixed when it is given (as a walk over the words found them)."""
-    test = _fixed_test(word_is_non_attacking, fixed)
+    test = word_is_non_attacking if fixed is None else lambda word, sd: word in fixed
     total, kept = _signed_sums(mu, npos, nneg, ORDER1, True, test)
     return total == kept
 
@@ -147,6 +143,6 @@ def row_bound_cancellation_holds(
 ) -> bool:
     """Non-fixed fillings cancel out of the signed q^inv t^(#plain+maj) sum.
     The fixed points are the row-bounded words, or those in fixed."""
-    test = _fixed_test(word_is_row_bound_fixed, fixed)
+    test = word_is_row_bound_fixed if fixed is None else lambda word, sd: word in fixed
     total, kept = _signed_sums(mu, npos, nneg, ORDER2, False, test)
     return total == kept

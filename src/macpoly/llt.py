@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple
 
-from .fillings import ORDER1, LetterOrder, ShapeData, indicator, letter_codes, super_letters
+from .fillings import ORDER1, LetterOrder, indicator, letter_codes, shape_data, super_letters
 from .macdonald import content_m_vec, descent_class_polys
 from .qtring import QT
 from .shapes import (
@@ -150,9 +150,10 @@ def llt_m_vec(shapes: Iterable[SkewShape], nvars: int) -> dict[Partition, QT]:
     for ci, (i, j) in td.cells:
         lower, left = pos.get((ci, (i - 1, j))), pos.get((ci, (i, j - 1)))
         rule.append((0 if lower is None else 1 << lower, 0 if left is None else 1 << left))
-    # the DP reads the cell count, the pairs and the descent geometry, here empty
-    sd = ShapeData(
-        (), td.cells, {}, (), (0,) * n, (0,) * n, (-1,) * n, td.inv_pairs, (), (), ()
+    # the fields the DP reads: the inversion pairs stand for the attacking
+    # pairs, and no cell lies below another, so there are no descents
+    sd = shape_data(())._replace(
+        cells=td.cells, attack_pairs=td.inv_pairs, below=(-1,) * n, arms=(0,) * n, legs=(0,) * n
     )
     return content_m_vec(sd, nvars, (1, 0, 0), None, tuple(rule))
 
