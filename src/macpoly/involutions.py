@@ -127,9 +127,7 @@ def _signed_sums(
     return total, XPoly(nvars, fixed)
 
 
-def attack_cancellation_holds(
-    mu: Partition, npos: int, nneg: int, fixed: set[tuple[int, ...]] | None = None
-) -> bool:
+def attack_cancellation_holds(mu: Partition, npos: int, nneg: int, fixed: set | None = None) -> bool:
     """Non-fixed fillings cancel out of the signed q^(#plain+inv) t^maj sum.
     The fixed points are the non-attacking words, or the reading words in
     fixed when it is given (as a walk over the words found them)."""
@@ -138,9 +136,7 @@ def attack_cancellation_holds(
     return total == kept
 
 
-def row_bound_cancellation_holds(
-    mu: Partition, npos: int, nneg: int, fixed: set[tuple[int, ...]] | None = None
-) -> bool:
+def row_bound_cancellation_holds(mu: Partition, npos: int, nneg: int, fixed: set | None = None) -> bool:
     """Non-fixed fillings cancel out of the signed q^inv t^(#plain+maj) sum.
     The fixed points are the row-bounded words, or those in fixed."""
     test = word_is_row_bound_fixed if fixed is None else lambda word, sd: word in fixed

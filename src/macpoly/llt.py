@@ -35,14 +35,7 @@ from .shapes import (
     ribbon_tuple,
     skew_from_cells,
 )
-from .symfunc import (
-    XPoly,
-    from_m_basis,
-    m_to_schur,
-    monomial_exponents,
-    omega_schur,
-    super_exponents,
-)
+from .symfunc import XPoly, from_m_basis, m_to_schur, monomial_exponents, omega_schur, super_exponents
 
 ShapeTuple = tuple[SkewShape, ...]
 
