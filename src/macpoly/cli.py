@@ -8,16 +8,16 @@ schur) come from a DP over the subsets of cells: a single shape is capped at
 cells) and a table at n = 9 (about 7 s). hmu --basis x, jack and jmu
 enumerate all n^n words and are capped at 7 cells (up to about 40 s for jack
 and jmu); llt --basis x writes out every monomial and shares that cap.
-verify is capped at n = 6: its signed sums go through the same DP, and its
-n^n costs are the oracle x_poly, the llt descent classes, the jack direct sum
-and the signed words of the involution checks (verify jack --n-max 6 takes
-about 12 s, llt about 3 s, involutions about 0.7 s). Three counts that grow
-exponentially in other verify bounds have caps of their own: crystal's
-(word, operator) pairs at 2,000,000 (about 10 s at --alphabet 4 --word-len
-9), the (2 * alphabet)^n signed words per shape of involutions at 50,000
-(about 6 s at --alphabet 3 --n-max 6) and the 2^len words per llt beta
-sequence at --beta-len 18 (about 3 s at 50 samples). A --beta-len above the
-185 values the sampler draws from is refused even with --force-guard.
+verify is capped at n = 6: its signed sums, descent classes and symmetry
+check go through the same DP, and its exponential costs are the jack direct
+sum (n^n words) and the signed words of the involution checks (verify jack
+--n-max 6 takes about 10 s, llt about 1.3 s, involutions about 1 s). Three
+counts that grow exponentially in other verify bounds have caps of their
+own: crystal's (word, operator) pairs at 2,000,000 (about 10 s at --alphabet
+4 --word-len 9), the (2 * alphabet)^n signed words per shape of involutions
+at 50,000 (about 6 s at --alphabet 3 --n-max 6) and the 2^len words per llt
+beta sequence at --beta-len 18 (about 3 s at 50 samples). A --beta-len above
+the 185 values the sampler draws from is refused even with --force-guard.
 two-column shares the single-shape cap. --force-guard lifts a cap.
 kostka-table --workers N opens at most one process per column and per CPU.
 verify with one suite refuses a bound that suite does not take; verify all

@@ -35,7 +35,7 @@ from .shapes import (
     ribbon_tuple,
     skew_from_cells,
 )
-from .symfunc import XPoly, from_m_basis, m_to_schur, monomial_exponents, omega_schur, super_exponents
+from .symfunc import XPoly, from_m_basis, m_to_schur, omega_schur, super_exponents
 
 ShapeTuple = tuple[SkewShape, ...]
 
@@ -226,7 +226,7 @@ def delete_two_cell_columns(shapes: Iterable[SkewShape]) -> tuple[ShapeTuple, in
 def check_ribbon_factorization(mu: Partition, nvars: int) -> bool:
     """For every set D of cells of mu with a cell below them, the descent-class
     generating function of D equals the LLT polynomial of the ribbon tuple of
-    D; one sweep over the fillings gives every class."""
+    D; one content DP run gives every class."""
     mu = check_partition(mu)
     classes = descent_class_polys(mu, nvars)
     upper = [c for c in reading_cells(mu) if c[0] >= 2]
@@ -281,7 +281,8 @@ def binary_inversion_poly(betas: Iterable[Fraction]) -> XPoly:
     acc: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
     for word in product((1, 2), repeat=n):
         q = sum(1 for i, j in close_pairs if word[i] > word[j])
-        e = monomial_exponents(word, 2)
+        twos = word.count(2)
+        e = (n - twos, twos)
         inner = acc.setdefault(e, {})
         inner[(q, 0)] = inner.get((q, 0), 0) + 1
     return XPoly(2, {e: QT(d) for e, d in acc.items()})

@@ -6,15 +6,16 @@ Schur bases yields the two-parameter Kostka table; signed alphabets give the
 plethystic specializations and the coefficients of the principal evaluation.
 The coefficient of each monomial m_nu is the sum over the fillings with
 content nu, which one subset DP over the cells computes (content_filling_sum),
-for the signed alphabets of the plethysms too; the sums over all n^n (or
-(2n)^n signed) fillings, such as macdonald_in_x, are the oracles the tests
-compare it with. Sizes are not limited here: the command line guards them.
+for the signed alphabets of the plethysms and, split by descent set, for the
+descent classes too; the sums over all n^n (or (2n)^n signed) fillings,
+such as macdonald_in_x, are the oracles the tests compare it with. Sizes are
+not limited here: the command line guards them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 from .fillings import (
@@ -54,16 +55,11 @@ def macdonald_in_x(mu: Partition, nvars: int) -> XPoly:
 
 @dataclass(frozen=True)
 class MacdonaldResult:
-    """One modified Macdonald polynomial in three coordinated forms."""
+    """One modified Macdonald polynomial in the monomial and Schur bases."""
 
     mu: Partition
     m_vec: dict[Partition, QT]
     schur_vec: dict[Partition, QT]      # rows of the q,t-Kostka table
-
-    @cached_property
-    def x_poly(self) -> XPoly:
-        """The polynomial in |mu| variables, summed over all fillings."""
-        return macdonald_in_x(self.mu, sum(self.mu))
 
 
 def content_m_vec(sd: ShapeData, nvars: int, *weights) -> dict[Partition, QT]:
@@ -130,20 +126,22 @@ def _check_descent_cells(mu: Partition, descents: Iterable[Cell]) -> frozenset[C
 
 def descent_class_polys(mu: Partition, nvars: int) -> dict[frozenset[Cell], XPoly]:
     """For each descent-cell set D: the sum of q^|Inv| x^sigma over fillings
-    with entries <= nvars whose descent set is exactly D."""
+    with entries <= nvars whose descent set is exactly D. Each class is
+    symmetric (an LLT polynomial), so it comes from the content DP's m_nu
+    coefficients."""
     sd = shape_data(check_partition(mu))
     n = len(sd.cells)
     # leg 2^p - 1 and arm 0 on every cell p turn (inv, maj) into the number
     # of attacking inversion pairs and the bit mask of the descent cells
     masks = sd._replace(legs=tuple(2**p - 1 for p in range(n)), arms=(0,) * n)
-    acc: dict[frozenset[Cell], dict[tuple[int, ...], dict[tuple[int, int], int]]] = {}
-    for e, c in filling_sum(masks, _positive(nvars), ORDER1).items():
+    acc: dict[int, dict[Partition, dict[tuple[int, int], int]]] = {}
+    for nu, c in content_m_vec(masks, nvars).items():
         for (pairs, mask), count in c.terms.items():
-            des = frozenset(cell for p, cell in enumerate(sd.cells) if mask >> p & 1)
-            acc.setdefault(des, {}).setdefault(e, {})[(pairs, 0)] = count
+            acc.setdefault(mask, {}).setdefault(nu, {})[(pairs, 0)] = count
     return {
-        des: XPoly(nvars, {e: QT(d) for e, d in by_exp.items()})
-        for des, by_exp in acc.items()
+        frozenset(cell for p, cell in enumerate(sd.cells) if mask >> p & 1):
+            from_m_basis({nu: QT(d) for nu, d in m_vec.items()}, nvars)
+        for mask, m_vec in acc.items()
     }
 
 

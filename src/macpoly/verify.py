@@ -11,7 +11,7 @@ from __future__ import annotations
 import inspect
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from .crystal import (
     check_fiber_sizes,
@@ -27,6 +27,7 @@ from .fillings import (
     ORDER2,
     cocharge_word,
     coded_statistics,
+    content_filling_sum,
     inv,
     letter_codes,
     maj,
@@ -54,7 +55,6 @@ from .macdonald import (
     descent_class_weight,
     hook_schur_coeff,
     macdonald,
-    macdonald_in_x,
     one_minus_u_coeffs,
     plethysm_q_minus_one,
     plethysm_t_minus_one,
@@ -77,7 +77,7 @@ from .special import (
     jack_alpha_in_x,
     jack_degeneration,
 )
-from .symfunc import XPoly, syt_count, to_m_basis
+from .symfunc import XPoly, from_m_basis, syt_count, to_m_basis
 
 Check = tuple[str, bool]
 
@@ -88,14 +88,19 @@ def _all_partitions(n_max: int):
 
 
 def suite_axioms(n_max: int = 4) -> list[Check]:
-    """Normalization, symmetry, positivity, duality, counting, substitutions."""
+    """Normalization, symmetry, positivity, duality, counting, substitutions.
+
+    Symmetry runs the content DP on every composition of n, each permutation
+    of each nu, and compares it with the m_nu coefficient."""
     norm = sym = pos = counts = dual = units = hooks = qside = tside = True
     for mu in _all_partitions(n_max):
         n = sum(mu)
         res = macdonald(mu)
-        lead = (n,) + (0,) * (n - 1)
-        norm &= res.x_poly.coefficient(lead) == QT.one()
-        sym &= res.x_poly.is_symmetric()
+        sd = shape_data(mu)
+        norm &= res.m_vec.get((n,)) == QT.one()
+        for nu in partitions(n):
+            c = res.m_vec.get(nu, QT.zero())
+            sym &= all(content_filling_sum(sd, alpha) == c for alpha in set(permutations(nu)))
         for lam, c in res.schur_vec.items():
             pos &= c.is_polynomial() and c.has_nonnegative_coefficients()
             counts &= c.sum_of_coefficients() == syt_count(lam)
@@ -228,7 +233,7 @@ def suite_llt(
         total = XPoly.zero(n)
         for des, f_poly in descent_class_polys(mu, n).items():
             total = total + f_poly.scaled(descent_class_weight(mu, des))
-        reassembly &= total == macdonald_in_x(mu, n)
+        reassembly &= total == from_m_basis(macdonald(mu).m_vec, n)
     transpose = schur_form = True
     for _ in range(8):
         k = rng.randint(1, 3)

@@ -12,12 +12,11 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "macpoly"
 
-# the x-polynomial oracles, the descent classes, the two-letter (1 - u) sum
-# (2^n words) and the involution checks, which test per-filling behaviour
+# the x-polynomial oracles, the two-letter (1 - u) sum (2^n words) and the
+# involution checks, which test per-filling behaviour
 ALLOWED = {
     "macdonald.macdonald_in_x",
     "macdonald.super_macdonald_in_xy",
-    "macdonald.descent_class_polys",
     "macdonald.one_minus_u_coeffs",
     "involutions._signed_sums",
 }

@@ -2,7 +2,9 @@
 
 import pytest
 
-from macpoly.verify import SUITES, run_suite
+from macpoly import verify
+from macpoly.qtring import QT
+from macpoly.verify import SUITES, run_suite, suite_axioms
 
 
 def test_registry_names():
@@ -41,3 +43,18 @@ def test_run_suite_drops_irrelevant_bounds():
 def test_run_suite_rejects_unknown_names():
     with pytest.raises(KeyError):
         run_suite("nonsense")
+
+
+def test_axioms_symmetry_runs_every_composition(monkeypatch):
+    # (1, 2, 1) is neither a partition nor one reversed: only a sweep over
+    # every composition reaches it
+    real = verify.content_filling_sum
+
+    def skewed(sd, content, *args):
+        c = real(sd, content, *args)
+        return c + QT.q() if tuple(content) == (1, 2, 1) else c
+
+    monkeypatch.setattr(verify, "content_filling_sum", skewed)
+    results = dict(suite_axioms(4))
+    assert not results["filling sums are symmetric polynomials (n <= 4)"]
+    assert all(ok for label, ok in results.items() if "symmetric" not in label)
