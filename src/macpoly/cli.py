@@ -1,13 +1,13 @@
 """Command line front end.
 
-Every computation enumerates fillings, so sizes are guarded; the library
-itself takes any size. The guards follow the cost. The Schur and monomial
-vectors (hmu --basis schur|m, hall-littlewood, kostka-table, llt --basis
-schur) come from a DP over the subsets of cells: a single shape is capped at
-10 cells (about 1 s; about 0.6 s for llt, whose slowest tuple is ten single
-cells) and a table at n = 9 (about 7 s). hmu --basis x, jack and jmu
-enumerate all n^n words and are capped at 7 cells (up to about 40 s for jack
-and jmu); llt --basis x writes out every monomial and shares that cap.
+Every computation sums over fillings or sets of cells, so sizes are guarded;
+the library itself takes any size. The guards follow the cost. The Schur and
+monomial vectors (hmu --basis schur|m, hall-littlewood, kostka-table, llt
+--basis schur) come from a DP over the subsets of cells: a single shape is
+capped at 10 cells (about 1 s; about 0.6 s for llt, whose slowest tuple is
+ten single cells) and a table at n = 9 (about 7 s). hmu --basis x and llt
+--basis x write that DP's monomial vector out term by term, and jmu and jack
+run the DP over a signed alphabet; these are capped at 7 cells (under 1 s).
 verify is capped at n = 6: its signed sums, descent classes and symmetry
 check go through the same DP, and its exponential costs are the jack direct
 sum (n^n words) and the signed words of the involution checks (verify jack
@@ -39,7 +39,7 @@ from multiprocessing import Pool
 from . import __version__
 from .crystal import two_column_kostka
 from .llt import llt_m_vec, llt_poly
-from .macdonald import macdonald, macdonald_in_x
+from .macdonald import macdonald
 from .qtring import QT
 from .shapes import (
     Partition,
@@ -49,7 +49,7 @@ from .shapes import (
     ribbon_tuple,
 )
 from .special import hall_littlewood_schur, integral_form_m_vec, jack_limit
-from .symfunc import XPoly, m_to_schur, to_m_basis
+from .symfunc import XPoly, from_m_basis, m_to_schur, to_m_basis
 from .verify import BETA_VALUES, SUITES, run_suite, suite_bounds
 
 # size guards, one per cost class (see the module docstring)
@@ -150,10 +150,10 @@ def _cmd_hmu(parser, args) -> int:
     if args.vars is not None and args.basis != "x":
         parser.error("argument --vars: only --basis x takes a number of variables")
     _guard(parser, n, WORD_GUARD if args.basis == "x" else SHAPE_GUARD, args.force_guard)
+    res = macdonald(mu)
     if args.basis == "x":
-        f, vec = macdonald_in_x(mu, args.vars or max(n, 1)), None
+        f, vec = from_m_basis(res.m_vec, args.vars or max(n, 1)), None
     else:
-        res = macdonald(mu)
         f, vec = None, res.m_vec if args.basis == "m" else res.schur_vec
     _print_poly(f, vec, n, args.basis, args.format, {"mu": list(mu)})
     return 0
@@ -301,10 +301,10 @@ def _cmd_jack(parser, args) -> int:
     if args.alpha < 1:
         parser.error("alpha must be a positive integer")
     nvars = args.vars or max(n, 1)
+    if args.basis == "m" and nvars < n:
+        parser.error(f"monomial output needs at least {n} variables")
     f = jack_limit(mu, nvars, args.alpha)
     if args.basis == "m":
-        if nvars < n:
-            parser.error(f"monomial output needs at least {n} variables")
         vec = to_m_basis(f)
         _print_poly(None, vec, n, "m", args.format, {"mu": list(mu), "alpha": args.alpha})
     else:

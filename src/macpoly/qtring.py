@@ -7,6 +7,7 @@ one-parameter Jack family lives here too, in q alone, with q standing for alpha.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable
 
 
@@ -137,42 +138,22 @@ class QT:
         """The evaluation q = t = 1 (well defined for Laurent terms too)."""
         return sum(self.terms.values())
 
-    def q_to_t_power(self, alpha: int) -> QT:
-        """Substitute q -> t**alpha, collapsing to a Laurent polynomial in t."""
-        terms: dict[tuple[int, int], int] = {}
+    def t_one_limit(self, alpha: int, n: int) -> int:
+        """The value at t = 1 of self(q -> t**alpha) / (1 - t)**n, which must
+        be a polynomial in t. With k = alpha*a + b the t exponent of each
+        term c q^a t^b, expanding about t = 1 gives the limit as
+        (-1)**n * sum(c * C(k, n)), and exactness as sum(c * C(k, j)) = 0
+        for every j < n; raises ValueError on a remainder or a negative
+        exponent."""
+        coeffs: dict[int, int] = {}
         for (a, b), c in self.terms.items():
-            e = (0, alpha * a + b)
-            terms[e] = terms.get(e, 0) + c
-        return QT(terms)
-
-    def _t_coeff_list(self) -> list[int]:
-        if any(a != 0 for a, _ in self.terms):
-            raise ValueError("value involves q; expected a polynomial in t only")
-        if any(b < 0 for _, b in self.terms):
+            coeffs[alpha * a + b] = coeffs.get(alpha * a + b, 0) + c
+        if any(k < 0 for k, c in coeffs.items() if c):
             raise ValueError("negative t exponent; expected a polynomial in t")
-        deg = max((b for _, b in self.terms), default=0)
-        coeffs = [0] * (deg + 1)
-        for (_, b), c in self.terms.items():
-            coeffs[b] = c
-        return coeffs
-
-    def divide_by_one_minus_t(self, n: int = 1) -> QT:
-        """Exact division by (1 - t)**n; raises ValueError when inexact."""
-        coeffs = self._t_coeff_list()
-        for _ in range(n):
-            running = 0
-            quotient = []
-            for c in coeffs:
-                running += c
-                quotient.append(running)
-            if running != 0:
-                raise ValueError("division by (1 - t) leaves a remainder")
-            coeffs = quotient[:-1] if len(quotient) > 1 else [0]
-        return QT({(0, i): c for i, c in enumerate(coeffs)})
-
-    def eval_t_one(self) -> int:
-        """Evaluate at t = 1; requires a polynomial in t alone."""
-        return sum(self._t_coeff_list())
+        sums = [sum(c * comb(k, j) for k, c in coeffs.items()) for j in range(n + 1)]
+        if any(sums[:n]):
+            raise ValueError("division by (1 - t) leaves a remainder")
+        return (-1) ** n * sums[n]
 
     def __str__(self) -> str:
         if not self.terms:

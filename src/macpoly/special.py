@@ -3,10 +3,11 @@
 The q = 0 face of the two-parameter family is computed along two independent
 routes (killing q in the Schur table, and summing t^cocharge over tableaux)
 that must agree. The Jack side realizes the integral form both directly as a
-weighted sum over non-attacking fillings of the conjugate diagram and through
-the signed-alphabet plethysm of the modified polynomial, whose signed sum the
-content DP computes, then degenerates to the classical one-parameter family
-by exact division before taking t -> 1.
+weighted sum over non-attacking fillings of the conjugate diagram (the
+oracle) and through the signed-alphabet plethysm of the modified polynomial,
+whose signed sum the content DP computes (integral_form_m_vec, behind jmu
+and jack), then degenerates to the classical one-parameter family by exact
+division before taking t -> 1.
 The one-parameter family is also summed directly, over the same fillings
 with another weight per cell; its coefficients are QT values in q alone,
 with q standing for alpha.
@@ -188,13 +189,15 @@ def integral_form_in_x(mu: Partition, nvars: int) -> XPoly:
     return _non_attacking_sum(sd, nvars, agree, QT.one() - QT.t(), statistic)
 
 
-def integral_form_from_macdonald(mu: Partition, nvars: int) -> XPoly:
-    """The same polynomial through the signed-alphabet plethysm: barred
-    letters carry -t x, the maj parameter is inverted, and the whole sum is
-    rescaled by t^n(mu); the result must be Laurent-free. The signed sum is
-    summed content by content in the interleaved order (content_m_vec)."""
+def integral_form_m_vec(mu: Partition, nvars: int | None = None) -> dict[Partition, QT]:
+    """The m_nu coefficients, nu with at most nvars (default |mu|) parts, of
+    the integral form through the signed-alphabet plethysm: barred letters
+    carry -t x, the maj parameter is inverted, and the whole sum is rescaled
+    by t^n(mu); the result must be Laurent-free. The signed sum is summed
+    content by content in the interleaved order (content_m_vec)."""
     mu = check_partition(mu)
     nmu = weighted_size(mu)
+    nvars = nvars if nvars is not None else max(sum(mu), 1)
     # barred letters weigh -x/t before t is inverted
     sums = content_m_vec(shape_data(mu), nvars, (1, 0, 0), (-1, 0, -1))
     m_vec = {
@@ -202,13 +205,12 @@ def integral_form_from_macdonald(mu: Partition, nvars: int) -> XPoly:
     }
     if not all(c.is_polynomial() for c in m_vec.values()):
         raise RuntimeError(f"integral form for {mu} kept a negative exponent")
-    return from_m_basis(m_vec, nvars)
+    return m_vec
 
 
-def integral_form_m_vec(mu: Partition, nvars: int | None = None) -> dict[Partition, QT]:
-    mu = check_partition(mu)
-    n = sum(mu)
-    return to_m_basis(integral_form_in_x(mu, nvars if nvars is not None else max(n, 1)))
+def integral_form_from_macdonald(mu: Partition, nvars: int) -> XPoly:
+    """The integral form in nvars variables, written out from integral_form_m_vec."""
+    return from_m_basis(integral_form_m_vec(mu, nvars), nvars)
 
 
 def jack_alpha_in_x(mu: Partition, nvars: int) -> XPoly:
@@ -241,16 +243,14 @@ def eval_alpha(f: XPoly, alpha: int) -> XPoly:
 def jack_limit(mu: Partition, nvars: int, alpha: int) -> XPoly:
     """The one-parameter limit of the integral form of mu (jack_degeneration)."""
     mu = check_partition(mu)
-    return jack_degeneration(integral_form_in_x(mu, nvars), sum(mu), alpha)
+    return jack_degeneration(integral_form_from_macdonald(mu, nvars), sum(mu), alpha)
 
 
 def jack_degeneration(integral_form: XPoly, n: int, alpha: int) -> XPoly:
     """Degenerate a two-parameter integral form of a shape of size n:
     substitute q -> t^alpha, divide by (1 - t)^n exactly, then evaluate at
-    t = 1."""
-    return integral_form.map_coefficients(
-        lambda c: c.q_to_t_power(alpha).divide_by_one_minus_t(n).eval_t_one()
-    )
+    t = 1 (QT.t_one_limit)."""
+    return integral_form.map_coefficients(lambda c: c.t_one_limit(alpha, n))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ Basis vectors are plain dicts keyed by partitions.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterable, Iterator
 
 from .fillings import ORDER1, LetterOrder, super_letters
@@ -177,9 +176,28 @@ def from_m_basis(m_vec: dict[Partition, object], nvars: int) -> XPoly:
     terms: dict[Exponents, object] = {}
     for nu, c in m_vec.items():
         if len(nu) <= nvars:
-            padded = tuple(nu) + (0,) * (nvars - len(nu))
-            terms.update((e, c) for e in set(permutations(padded)))
+            terms.update((e, c) for e in _rearrangements(tuple(nu), nvars))
     return XPoly(nvars, terms)
+
+
+@lru_cache(maxsize=None)
+def _rearrangements(nu: Partition, nvars: int) -> tuple[Exponents, ...]:
+    """The distinct orderings of nu padded with zeros to nvars entries, each
+    once: next-permutation steps from the increasing order."""
+    e = sorted(nu + (0,) * (nvars - len(nu)))
+    out = [tuple(e)]
+    while True:
+        i = nvars - 2
+        while i >= 0 and e[i] >= e[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = nvars - 1
+        while e[j] <= e[i]:
+            j -= 1
+        e[i], e[j] = e[j], e[i]
+        e[i + 1:] = reversed(e[i + 1:])
+        out.append(tuple(e))
 
 
 def m_in_x(rho: Partition, nvars: int) -> XPoly:

@@ -295,6 +295,13 @@ def test_llt_x_basis(capsys):
     assert out.strip() == "x1*x2"
 
 
+@pytest.mark.parametrize("argv", [["llt", "--mu", "1"], ["hmu", "--mu", "1", "--basis", "x"]])
+def test_one_cell_in_twelve_variables(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--vars", "12")
+    assert code == 0
+    assert out.strip() == " + ".join(f"x{k}" for k in range(1, 13))
+
+
 def test_llt_rejects_bad_descents(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["llt", "--mu", "2,1", "--descents", "1;2"])
@@ -310,6 +317,23 @@ def test_jack_monomial_text(capsys):
     code, out, _ = run_cli(capsys, "jack", "--mu", "2", "--alpha", "1")
     assert code == 0
     assert out.strip() == "2*m[2] + 2*m[1,1]"
+
+
+def test_jack_checks_the_variable_count_before_computing(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("jack_limit ran before the usage check")
+
+    monkeypatch.setattr(cli, "jack_limit", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["jack", "--mu", "2,1", "--alpha", "1", "--vars", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_jack_at_a_large_alpha(capsys):
+    code, out, _ = run_cli(capsys, "jack", "--mu", "3,2", "--alpha", "1000000")
+    assert code == 0
+    assert out.strip().startswith("2000008000010000004*m[3,2] + ")
 
 
 def test_jack_rejects_nonpositive_alpha(capsys):

@@ -1,5 +1,6 @@
 """Exact coefficient ring: Laurent polynomials in q and t."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -73,36 +74,47 @@ def test_polynomial_and_positivity_predicates():
     assert not (QT.q(1) - QT.one()).has_nonnegative_coefficients()
 
 
-def test_q_to_t_power_substitution():
+def test_t_one_limit_substitutes_q():
+    # q -> t^2 gives t^5 + t^3, whose value at t = 1 is 2
     f = QT.q(2) * QT.t(1) + QT.t(3)
-    assert f.q_to_t_power(2) == QT.t(5) + QT.t(3)
-    g = QT.q(1) - QT.t(1)
-    assert g.q_to_t_power(1) == QT.zero()
+    assert f.t_one_limit(2, 0) == 2
+    # q - t vanishes at q = t, so it divides by any power of (1 - t)
+    assert (QT.q(1) - QT.t(1)).t_one_limit(1, 3) == 0
+    # (1 - t^alpha) / (1 - t) at t = 1 is alpha, however large
+    assert (1 - QT.q(1)).t_one_limit(3, 1) == 3
+    assert (1 - QT.q(1)).t_one_limit(10**6, 1) == 10**6
 
 
-def test_divide_by_one_minus_t_exactly():
+def test_t_one_limit_values():
     one_minus_t = QT.one() - QT.t(1)
     f = one_minus_t * one_minus_t * (QT.one() + QT.t(2))
-    assert f.divide_by_one_minus_t(2) == QT.one() + QT.t(2)
-    assert f.divide_by_one_minus_t(0) == f
+    assert f.t_one_limit(1, 2) == 2
+    assert f.t_one_limit(1, 0) == 0
+    assert (QT.t(2) + QT.t(5) + QT.one()).t_one_limit(1, 0) == 3
+    assert QT.zero().t_one_limit(2, 3) == 0
 
 
-def test_divide_by_one_minus_t_rejects_remainders():
-    import pytest
-
-    with pytest.raises(ValueError):
-        (QT.one() + QT.t(1)).divide_by_one_minus_t(1)
-    with pytest.raises(ValueError):
-        QT.q(1).divide_by_one_minus_t(1)
+nonneg_qts = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=4
+).map(QT)
 
 
-def test_eval_t_one():
-    f = QT.t(2) + QT.t(5) + QT.one()
-    assert f.eval_t_one() == 3
-    import pytest
+@given(nonneg_qts, st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=4))
+def test_t_one_limit_undoes_a_power_of_one_minus_t(g, alpha, n):
+    f = g * (QT.one() - QT.t(1)) ** n
+    assert f.t_one_limit(alpha, n) == g.sum_of_coefficients()
 
-    with pytest.raises(ValueError):
-        (QT.q(1) + QT.t(1)).eval_t_one()
+
+def test_t_one_limit_rejects_remainders():
+    with pytest.raises(ValueError, match="remainder"):
+        (QT.one() + QT.t(1)).t_one_limit(1, 1)
+    # q alone becomes t^alpha, which (1 - t) does not divide
+    with pytest.raises(ValueError, match="remainder"):
+        QT.q(1).t_one_limit(2, 1)
+    with pytest.raises(ValueError, match="negative"):
+        (QT.t(-1) + QT.one()).t_one_limit(1, 0)
+    with pytest.raises(ValueError, match="negative"):
+        QT.term(1, -1, 0).t_one_limit(2, 0)
 
 
 def test_str_is_sorted_and_sparse():

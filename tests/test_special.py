@@ -19,8 +19,10 @@ from macpoly.special import (
     inv_zero_filling,
     jack_alpha_in_x,
     jack_alpha_m_vec,
+    jack_degeneration,
     jack_limit,
 )
+from macpoly.shapes import partitions
 from macpoly.symfunc import XPoly, to_m_basis
 
 
@@ -83,8 +85,6 @@ def test_hall_littlewood_known_tables():
 
 
 def test_hall_littlewood_both_routes_agree_up_to_four():
-    from macpoly.shapes import partitions
-
     for n in (1, 2, 3, 4):
         for mu in partitions(n):
             hall_littlewood_schur(mu)
@@ -105,12 +105,24 @@ def test_integral_form_column_of_two():
 
 
 def test_integral_form_routes_agree():
-    from macpoly.shapes import partitions
-
     for n in (1, 2, 3):
         for mu in partitions(n):
             nv = max(n, 1)
             assert integral_form_in_x(mu, nv) == integral_form_from_macdonald(mu, nv)
+
+
+@pytest.mark.parametrize(
+    "mu", [mu for n in range(1, 6) for mu in partitions(n)], ids=lambda mu: ",".join(map(str, mu))
+)
+def test_signed_route_matches_the_direct_sums(mu):
+    # jmu and jack run the signed route; the direct sum is their oracle
+    n = sum(mu)
+    assert integral_form_m_vec(mu) == to_m_basis(integral_form_in_x(mu, n))
+    for nvars in range(1, n + 2):
+        direct = integral_form_in_x(mu, nvars)
+        assert integral_form_from_macdonald(mu, nvars) == direct, nvars
+        for alpha in (1, 2, 3):
+            assert jack_limit(mu, nvars, alpha) == jack_degeneration(direct, n, alpha), (nvars, alpha)
 
 
 def test_jack_alpha_row_of_two():

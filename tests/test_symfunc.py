@@ -1,14 +1,17 @@
 """Polynomial container, Schur/monomial bases, and quasisymmetric pieces."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from macpoly.fillings import ORDER1, ORDER2
 from macpoly.qtring import QT
+from macpoly.shapes import partitions
 from macpoly.symfunc import (
     XPoly,
+    from_m_basis,
     kostka,
     m_in_x,
     m_to_schur,
@@ -101,6 +104,19 @@ def test_m_in_x_and_to_m_basis_round_trip():
     assert f.coefficient((1, 2, 0)) == QT.term(1)
     assert len(f.terms) == 6
     assert to_m_basis(f) == {(2, 1): QT.term(1)}
+
+
+@pytest.mark.parametrize("nvars", range(1, 9))
+def test_from_m_basis_writes_each_rearrangement_once(nvars):
+    # each nu in its own coefficient, against the distinct permutations
+    nus = [nu for n in range(7) for nu in partitions(n)]
+    f = from_m_basis({nu: QT.term(k + 1) for k, nu in enumerate(nus)}, nvars)
+    expected = {}
+    for k, nu in enumerate(nus):
+        if len(nu) <= nvars:
+            padded = nu + (0,) * (nvars - len(nu))
+            expected.update((e, QT.term(k + 1)) for e in set(permutations(padded)))
+    assert f == XPoly(nvars, expected)
 
 
 def test_to_m_basis_rejects_asymmetric_input():
