@@ -85,13 +85,22 @@ def test_t_one_limit_substitutes_q():
     assert (1 - QT.q(1)).t_one_limit(10**6, 1) == 10**6
 
 
-def test_t_one_limit_values():
+def test_divide_by_one_minus_t_exactly():
+    # (1 - t)^2 (1 + t^2) / (1 - t)^2 = 1 + t^2, which is 2 at t = 1
     one_minus_t = QT.one() - QT.t(1)
     f = one_minus_t * one_minus_t * (QT.one() + QT.t(2))
     assert f.t_one_limit(1, 2) == 2
+    assert f.t_one_limit(1, 1) == 0
     assert f.t_one_limit(1, 0) == 0
-    assert (QT.t(2) + QT.t(5) + QT.one()).t_one_limit(1, 0) == 3
     assert QT.zero().t_one_limit(2, 3) == 0
+
+
+def test_eval_t_one():
+    # with n = 0 nothing is divided: the limit is the value at t = 1
+    f = QT.t(2) + QT.t(5) + QT.one()
+    assert f.t_one_limit(1, 0) == 3
+    # f has no q, so alpha does not change it
+    assert f.t_one_limit(7, 0) == 3
 
 
 nonneg_qts = st.dictionaries(
