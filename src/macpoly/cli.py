@@ -48,8 +48,8 @@ from .shapes import (
     partitions,
     ribbon_tuple,
 )
-from .special import hall_littlewood_schur, integral_form_m_vec, jack_limit
-from .symfunc import XPoly, from_m_basis, m_to_schur, to_m_basis
+from .special import hall_littlewood_schur, integral_form_m_vec, jack_alpha_m_vec, jack_limit
+from .symfunc import XPoly, from_m_basis, m_to_schur
 from .verify import BETA_VALUES, SUITES, run_suite, suite_bounds
 
 # size guards, one per cost class (see the module docstring)
@@ -202,9 +202,7 @@ def _load_cached_table(path: str, n: int) -> dict | None:
 
 
 def _store_table(path: str, payload: dict) -> None:
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
@@ -213,6 +211,14 @@ def _store_table(path: str, payload: dict) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _cache_step(parser, path: str, step, *args, **kwargs) -> None:
+    """Run one step of caching path; an OSError is a usage error naming it."""
+    try:
+        step(*args, **kwargs)
+    except OSError as exc:
+        parser.error(f"cannot cache the table at {path}: {exc.strerror or exc}")
 
 
 def _render_table_text(payload: dict) -> str:
@@ -248,11 +254,13 @@ def _cmd_kostka_table(parser, args) -> int:
     path = None
     if cache_dir:
         path = os.path.join(cache_dir, f"kostka_{n}.json")
+        # made before computing, so that an unusable directory fails at once
+        _cache_step(parser, path, os.makedirs, cache_dir, exist_ok=True)
         payload = _load_cached_table(path, n)
     if payload is None:
         payload = _compute_table(n, args.workers)
         if path:
-            _store_table(path, payload)
+            _cache_step(parser, path, _store_table, path, payload)
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -303,12 +311,12 @@ def _cmd_jack(parser, args) -> int:
     nvars = args.vars or max(n, 1)
     if args.basis == "m" and nvars < n:
         parser.error(f"monomial output needs at least {n} variables")
-    f = jack_limit(mu, nvars, args.alpha)
+    extra = {"mu": list(mu), "alpha": args.alpha}
     if args.basis == "m":
-        vec = to_m_basis(f)
-        _print_poly(None, vec, n, "m", args.format, {"mu": list(mu), "alpha": args.alpha})
+        vec = {nu: c.at_alpha(args.alpha) for nu, c in jack_alpha_m_vec(mu, nvars).items()}
+        _print_poly(None, vec, n, "m", args.format, extra)
     else:
-        _print_poly(f, None, n, "x", args.format, {"mu": list(mu), "alpha": args.alpha})
+        _print_poly(jack_limit(mu, nvars, args.alpha), None, n, "x", args.format, extra)
     return 0
 
 
@@ -390,6 +398,9 @@ def _cmd_verify(parser, args) -> int:
     # the crystal operators act on pairs of letters i, i + 1
     if args.suite in ("crystal", "all") and args.alphabet is not None and args.alphabet < 2:
         parser.error(f"argument --alphabet: the crystal suite needs at least 2, got {args.alphabet}")
+    # below two cells no signed word has a pivot under either involution
+    if args.suite in ("involutions", "all") and args.n_max is not None and args.n_max < 2:
+        parser.error(f"argument --n-max: must be at least 2 for the involutions suite, got {args.n_max}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     bounds = {
         "n_max": args.n_max,

@@ -2,7 +2,9 @@
 
 Every computation in this package reduces to arithmetic in this ring over
 arbitrary-precision integers; nothing here ever touches floating point. The
-one-parameter Jack family lives here too, in q alone, with q standing for alpha.
+one-parameter Jack family lives here too, in q alone, with q standing for
+alpha: QT.t_one_limit takes a two-parameter value to it, and QT.at_alpha
+evaluates it at an integer alpha.
 """
 
 from __future__ import annotations
@@ -138,22 +140,29 @@ class QT:
         """The evaluation q = t = 1 (well defined for Laurent terms too)."""
         return sum(self.terms.values())
 
-    def t_one_limit(self, alpha: int, n: int) -> int:
-        """The value at t = 1 of self(q -> t**alpha) / (1 - t)**n, which must
-        be a polynomial in t. With k = alpha*a + b the t exponent of each
-        term c q^a t^b, expanding about t = 1 gives the limit as
-        (-1)**n * sum(c * C(k, n)), and exactness as sum(c * C(k, j)) = 0
-        for every j < n; raises ValueError on a remainder or a negative
-        exponent."""
-        coeffs: dict[int, int] = {}
-        for (a, b), c in self.terms.items():
-            coeffs[alpha * a + b] = coeffs.get(alpha * a + b, 0) + c
-        if any(k < 0 for k, c in coeffs.items() if c):
-            raise ValueError("negative t exponent; expected a polynomial in t")
-        sums = [sum(c * comb(k, j) for k, c in coeffs.items()) for j in range(n + 1)]
-        if any(sums[:n]):
+    def at_alpha(self, alpha: int) -> int:
+        """The value at q = alpha of a polynomial in q alone."""
+        return sum(c * alpha**a for (a, _), c in self.terms.items())
+
+    def t_one_limit(self, n: int) -> QT:
+        """The limit at t = 1 of self(q -> t**alpha) / (1 - t)**n, as a
+        polynomial in alpha (a QT in q alone, q standing for alpha).
+
+        Expand self about q = t = 1: with q = 1 + u and t = 1 + v, the term
+        c q^a t^b adds c * C(a, i) * C(b, j) to the coefficient f_ij of u^i v^j.
+        Since q = t**alpha makes u = alpha*v + O(v^2), the division is exact
+        for every alpha exactly when f_ij = 0 whenever i + j < n, and then the
+        limit is (-1)**n times the sum of f_ij alpha^i over i + j = n. Raises
+        ValueError on a remainder or a negative exponent."""
+        if not self.is_polynomial():
+            raise ValueError("negative exponent; expected a polynomial in q and t")
+        taylor = [
+            [sum(c * comb(a, i) * comb(b, d - i) for (a, b), c in self.terms.items()) for i in range(d + 1)]
+            for d in range(n + 1)
+        ]
+        if any(any(row) for row in taylor[:n]):
             raise ValueError("division by (1 - t) leaves a remainder")
-        return (-1) ** n * sums[n]
+        return QT({(i, 0): (-1) ** n * f for i, f in enumerate(taylor[n])})
 
     def __str__(self) -> str:
         if not self.terms:

@@ -5,12 +5,12 @@ routes (killing q in the Schur table, and summing t^cocharge over tableaux)
 that must agree. The Jack side realizes the integral form both directly as a
 weighted sum over non-attacking fillings of the conjugate diagram (the
 oracle) and through the signed-alphabet plethysm of the modified polynomial,
-whose signed sum the content DP computes (integral_form_m_vec, behind jmu
-and jack), then degenerates to the classical one-parameter family by exact
-division before taking t -> 1.
-The one-parameter family is also summed directly, over the same fillings
-with another weight per cell; its coefficients are QT values in q alone,
-with q standing for alpha.
+whose signed sum the content DP computes (integral_form_m_vec, behind jmu).
+The one-parameter family is the t -> 1 limit of the latter at q = t^alpha,
+divided exactly by (1 - t)^n, taken once per nu as a polynomial in alpha
+(jack_alpha_m_vec, behind jack); its coefficients are QT values in q alone,
+with q standing for alpha. Its direct sum, over the same fillings with
+another weight per cell, is the oracle for that limit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .symfunc import (
     monomial_exponents,
     ssyt_rows,
     tableau_reading_word,
-    to_m_basis,
 )
 
 
@@ -224,33 +223,25 @@ def jack_alpha_in_x(mu: Partition, nvars: int) -> XPoly:
 
 
 def jack_alpha_m_vec(mu: Partition, nvars: int | None = None) -> dict[Partition, QT]:
-    """Monomial expansion of jack_alpha_in_x; each value is a QT in q alone,
-    the polynomial in alpha with q standing for alpha."""
-    mu = check_partition(mu)
-    n = sum(mu)
-    return to_m_basis(jack_alpha_in_x(mu, nvars if nvars is not None else max(n, 1)))
+    """The m_nu coefficients, nu with at most nvars (default |mu|) parts, of
+    the one-parameter family: the t -> 1 limit at q = t^alpha of
+    integral_form_m_vec, divided by (1 - t)^|mu|, as a QT in q alone with q
+    standing for alpha (QT.t_one_limit)."""
+    n = sum(check_partition(mu))
+    return {nu: c.t_one_limit(n) for nu, c in integral_form_m_vec(mu, nvars).items()}
 
 
 def eval_alpha(f: XPoly, alpha: int) -> XPoly:
     """Evaluate Jack coefficients (QT in q alone, q standing for alpha) at an
-    integer alpha: each coefficient becomes the sum of c * alpha^a over its
-    q-exponents a."""
-    return f.map_coefficients(
-        lambda c: sum(v * alpha**a for (a, _), v in c.terms.items())
-    )
+    integer alpha."""
+    return f.map_coefficients(lambda c: c.at_alpha(alpha))
 
 
 def jack_limit(mu: Partition, nvars: int, alpha: int) -> XPoly:
-    """The one-parameter limit of the integral form of mu (jack_degeneration)."""
-    mu = check_partition(mu)
-    return jack_degeneration(integral_form_from_macdonald(mu, nvars), sum(mu), alpha)
-
-
-def jack_degeneration(integral_form: XPoly, n: int, alpha: int) -> XPoly:
-    """Degenerate a two-parameter integral form of a shape of size n:
-    substitute q -> t^alpha, divide by (1 - t)^n exactly, then evaluate at
-    t = 1 (QT.t_one_limit)."""
-    return integral_form.map_coefficients(lambda c: c.t_one_limit(alpha, n))
+    """The one-parameter family at an integer alpha in nvars variables,
+    written out from jack_alpha_m_vec evaluated per nu."""
+    vec = {nu: c.at_alpha(alpha) for nu, c in jack_alpha_m_vec(mu, nvars).items()}
+    return from_m_basis(vec, nvars)
 
 
 # ---------------------------------------------------------------------------

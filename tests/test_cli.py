@@ -234,6 +234,29 @@ def test_kostka_table_cache_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "kostka_2.json").exists()
 
 
+@pytest.mark.parametrize("case", ["file", "below a file", "directory at the cache file", "env var"])
+def test_an_unusable_cache_directory_is_a_usage_error(tmp_path, capsys, monkeypatch, case):
+    # a regular file is in the way even for root, whom permission bits do not stop
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cache_dir = {"file": blocker, "below a file": blocker / "sub"}.get(case, tmp_path / "cache")
+    if case == "directory at the cache file":
+        (cache_dir / "kostka_3.json").mkdir(parents=True)
+    if case == "env var":
+        cache_dir = blocker
+        monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
+        argv = ["kostka-table", "--n", "3"]
+    else:
+        argv = ["kostka-table", "--n", "3", "--cache-dir", str(cache_dir)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"cannot cache the table at {cache_dir / 'kostka_3.json'}" in out.err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_kostka_table_workers_match_serial(capsys):
     code, serial, _ = run_cli(capsys, "kostka-table", "--n", "3", "--format", "json")
     assert code == 0
@@ -399,6 +422,9 @@ def test_verify_suite_passes(capsys):
         ["verify", "llt", "--beta-len", "1"],
         ["verify", "involutions", "--alphabet", "0"],
         ["verify", "crystal", "--word-len", "0"],
+        # below two cells no signed word has a pivot under either involution
+        ["verify", "involutions", "--n-max", "1"],
+        ["verify", "all", "--n-max", "1"],
     ],
 )
 def test_verify_refuses_empty_ranges(capsys, argv):

@@ -73,7 +73,8 @@ def test_only_the_jack_suite_and_the_alpha_vector_call_the_x_oracles():
         source = path.read_text(encoding="utf-8")
         for oracle in ("macdonald_in_x", "integral_form_in_x", "jack_alpha_in_x"):
             callers |= kernel_callers(path.stem, source, oracle)
-    assert callers == {"verify.suite_jack", "special.jack_alpha_m_vec"}
+    # jack_alpha_m_vec takes its limit from the signed route and calls none
+    assert callers == {"verify.suite_jack"}
 
 
 def test_no_subcommand_but_verify_reaches_a_brute_force_sum():

@@ -77,30 +77,29 @@ def test_polynomial_and_positivity_predicates():
 def test_t_one_limit_substitutes_q():
     # q -> t^2 gives t^5 + t^3, whose value at t = 1 is 2
     f = QT.q(2) * QT.t(1) + QT.t(3)
-    assert f.t_one_limit(2, 0) == 2
-    # q - t vanishes at q = t, so it divides by any power of (1 - t)
-    assert (QT.q(1) - QT.t(1)).t_one_limit(1, 3) == 0
+    assert f.t_one_limit(0).at_alpha(2) == 2
     # (1 - t^alpha) / (1 - t) at t = 1 is alpha, however large
-    assert (1 - QT.q(1)).t_one_limit(3, 1) == 3
-    assert (1 - QT.q(1)).t_one_limit(10**6, 1) == 10**6
+    assert (1 - QT.q(1)).t_one_limit(1) == QT.q(1)
+    assert (1 - QT.q(1)).t_one_limit(1).at_alpha(3) == 3
+    assert (1 - QT.q(1)).t_one_limit(1).at_alpha(10**6) == 10**6
 
 
 def test_divide_by_one_minus_t_exactly():
     # (1 - t)^2 (1 + t^2) / (1 - t)^2 = 1 + t^2, which is 2 at t = 1
     one_minus_t = QT.one() - QT.t(1)
     f = one_minus_t * one_minus_t * (QT.one() + QT.t(2))
-    assert f.t_one_limit(1, 2) == 2
-    assert f.t_one_limit(1, 1) == 0
-    assert f.t_one_limit(1, 0) == 0
-    assert QT.zero().t_one_limit(2, 3) == 0
+    assert f.t_one_limit(2).at_alpha(1) == 2
+    assert f.t_one_limit(1).at_alpha(1) == 0
+    assert f.t_one_limit(0).at_alpha(1) == 0
+    assert QT.zero().t_one_limit(3).at_alpha(2) == 0
 
 
 def test_eval_t_one():
     # with n = 0 nothing is divided: the limit is the value at t = 1
     f = QT.t(2) + QT.t(5) + QT.one()
-    assert f.t_one_limit(1, 0) == 3
+    assert f.t_one_limit(0).at_alpha(1) == 3
     # f has no q, so alpha does not change it
-    assert f.t_one_limit(7, 0) == 3
+    assert f.t_one_limit(0).at_alpha(7) == 3
 
 
 nonneg_qts = st.dictionaries(
@@ -111,19 +110,31 @@ nonneg_qts = st.dictionaries(
 @given(nonneg_qts, st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=4))
 def test_t_one_limit_undoes_a_power_of_one_minus_t(g, alpha, n):
     f = g * (QT.one() - QT.t(1)) ** n
-    assert f.t_one_limit(alpha, n) == g.sum_of_coefficients()
+    assert f.t_one_limit(n) == g.sum_of_coefficients()
+    assert f.t_one_limit(n).at_alpha(alpha) == g.sum_of_coefficients()
+
+
+@given(st.integers(min_value=0, max_value=4).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+def test_t_one_limit_of_one_minus_q_powers_is_a_power_of_alpha(kn):
+    # (1 - t^alpha) / (1 - t) tends to alpha, once per factor 1 - q
+    k, n = kn
+    f = (QT.one() - QT.q(1)) ** k * (QT.one() - QT.t(1)) ** (n - k)
+    assert f.t_one_limit(n) == QT.q(k)
 
 
 def test_t_one_limit_rejects_remainders():
     with pytest.raises(ValueError, match="remainder"):
-        (QT.one() + QT.t(1)).t_one_limit(1, 1)
+        (QT.one() + QT.t(1)).t_one_limit(1)
     # q alone becomes t^alpha, which (1 - t) does not divide
     with pytest.raises(ValueError, match="remainder"):
-        QT.q(1).t_one_limit(2, 1)
+        QT.q(1).t_one_limit(1)
+    # q - t becomes t^alpha - t, which (1 - t)^3 divides at alpha = 1 alone
+    with pytest.raises(ValueError, match="remainder"):
+        (QT.q(1) - QT.t(1)).t_one_limit(3)
     with pytest.raises(ValueError, match="negative"):
-        (QT.t(-1) + QT.one()).t_one_limit(1, 0)
+        (QT.t(-1) + QT.one()).t_one_limit(0)
     with pytest.raises(ValueError, match="negative"):
-        QT.term(1, -1, 0).t_one_limit(2, 0)
+        QT.term(1, -1, 0).t_one_limit(0)
 
 
 def test_str_is_sorted_and_sparse():

@@ -19,7 +19,6 @@ from macpoly.special import (
     inv_zero_filling,
     jack_alpha_in_x,
     jack_alpha_m_vec,
-    jack_degeneration,
     jack_limit,
 )
 from macpoly.shapes import partitions
@@ -111,18 +110,38 @@ def test_integral_form_routes_agree():
             assert integral_form_in_x(mu, nv) == integral_form_from_macdonald(mu, nv)
 
 
-@pytest.mark.parametrize(
-    "mu", [mu for n in range(1, 6) for mu in partitions(n)], ids=lambda mu: ",".join(map(str, mu))
-)
+SHAPES_TO_5 = [mu for n in range(1, 6) for mu in partitions(n)]
+
+
+def shape_id(mu):
+    return ",".join(map(str, mu))
+
+
+@pytest.mark.parametrize("mu", SHAPES_TO_5, ids=shape_id)
 def test_signed_route_matches_the_direct_sums(mu):
-    # jmu and jack run the signed route; the direct sum is their oracle
+    # jmu and jack run the signed route; the direct sums are their oracles
     n = sum(mu)
     assert integral_form_m_vec(mu) == to_m_basis(integral_form_in_x(mu, n))
     for nvars in range(1, n + 2):
-        direct = integral_form_in_x(mu, nvars)
-        assert integral_form_from_macdonald(mu, nvars) == direct, nvars
+        assert integral_form_from_macdonald(mu, nvars) == integral_form_in_x(mu, nvars), nvars
+        jack = jack_alpha_in_x(mu, nvars)
         for alpha in (1, 2, 3):
-            assert jack_limit(mu, nvars, alpha) == jack_degeneration(direct, n, alpha), (nvars, alpha)
+            assert jack_limit(mu, nvars, alpha) == eval_alpha(jack, alpha), (nvars, alpha)
+
+
+@pytest.mark.parametrize("mu", SHAPES_TO_5, ids=shape_id)
+def test_jack_alpha_m_vec_matches_the_direct_sum(mu):
+    n = sum(mu)
+    for nvars in (n, n + 1):
+        assert jack_alpha_m_vec(mu, nvars) == to_m_basis(jack_alpha_in_x(mu, nvars)), nvars
+
+
+def test_jack_alpha_m_vec_in_fewer_variables_keeps_the_parts_that_fit():
+    for mu in SHAPES_TO_5:
+        full = jack_alpha_m_vec(mu)
+        for nvars in range(1, sum(mu)):
+            fitting = {nu: c for nu, c in full.items() if len(nu) <= nvars}
+            assert jack_alpha_m_vec(mu, nvars) == fitting, (mu, nvars)
 
 
 def test_jack_alpha_row_of_two():
