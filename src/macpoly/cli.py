@@ -8,6 +8,9 @@ capped at 10 cells (about 1 s; about 0.6 s for llt, whose slowest tuple is
 ten single cells) and a table at n = 9 (about 7 s). hmu --basis x and llt
 --basis x write that DP's monomial vector out term by term, and jmu and jack
 run the DP over a signed alphabet; these are capped at 7 cells (under 1 s).
+The write-outs of hmu, llt and jack --basis x are also capped at 10,000
+monomials, the C(vars + n - 1, n) that --vars allows (about 1 s as text,
+2.3 s as JSON at 7 cells).
 verify is capped at n = 6: its signed sums, descent classes and symmetry
 check go through the same DP, and its exponential costs are the jack direct
 sum (n^n words) and the signed words of the involution checks (verify jack
@@ -18,7 +21,8 @@ own: crystal's (word, operator) pairs at 2,000,000 (about 10 s at --alphabet
 at 50,000 (about 6 s at --alphabet 3 --n-max 6) and the 2^len words per llt
 beta sequence at --beta-len 18 (about 3 s at 50 samples). A --beta-len above
 the 185 values the sampler draws from is refused even with --force-guard.
-two-column shares the single-shape cap. --force-guard lifts a cap.
+two-column shares the single-shape cap; it walks only the f^lambda Yamanouchi
+words (at most 768 at 10 cells). --force-guard lifts a cap.
 kostka-table --workers N opens at most one process per column and per CPU.
 verify with one suite refuses a bound that suite does not take; verify all
 passes each suite the bounds it takes.
@@ -34,6 +38,7 @@ import json
 import os
 import sys
 import tempfile
+from math import comb
 from multiprocessing import Pool
 
 from . import __version__
@@ -57,6 +62,8 @@ SHAPE_GUARD = 10
 TABLE_GUARD = 9
 WORD_GUARD = 7
 VERIFY_GUARD = 6
+# cap on the monomials that --basis x writes out in --vars variables
+TERM_GUARD = 10_000
 # caps on the exponential verify counts (see the module docstring): pairs,
 # signed words per shape, and the beta length
 CRYSTAL_GUARD = 2_000_000
@@ -77,6 +84,17 @@ def _guard(parser: argparse.ArgumentParser, n: int, limit: int, forced: bool) ->
     if n > limit and not forced:
         parser.error(
             f"size {n} exceeds the guard of {limit} cells; pass --force-guard to proceed"
+        )
+
+
+def _guard_terms(parser: argparse.ArgumentParser, n: int, nvars: int, forced: bool) -> None:
+    """Refuse to write out more than TERM_GUARD monomials: a degree-n
+    polynomial in nvars variables has up to C(nvars + n - 1, n) of them."""
+    terms = comb(nvars + n - 1, n)
+    if terms > TERM_GUARD and not forced:
+        parser.error(
+            f"{nvars} variables give up to {terms} monomials of degree {n}, "
+            f"above the guard of {TERM_GUARD}; pass --force-guard to proceed"
         )
 
 
@@ -150,9 +168,12 @@ def _cmd_hmu(parser, args) -> int:
     if args.vars is not None and args.basis != "x":
         parser.error("argument --vars: only --basis x takes a number of variables")
     _guard(parser, n, WORD_GUARD if args.basis == "x" else SHAPE_GUARD, args.force_guard)
+    nvars = args.vars or max(n, 1)
+    if args.basis == "x":
+        _guard_terms(parser, n, nvars, args.force_guard)
     res = macdonald(mu)
     if args.basis == "x":
-        f, vec = from_m_basis(res.m_vec, args.vars or max(n, 1)), None
+        f, vec = from_m_basis(res.m_vec, nvars), None
     else:
         f, vec = None, res.m_vec if args.basis == "m" else res.schur_vec
     _print_poly(f, vec, n, args.basis, args.format, {"mu": list(mu)})
@@ -298,6 +319,7 @@ def _cmd_llt(parser, args) -> int:
         vec = m_to_schur(llt_m_vec(shapes, n))
         _print_poly(None, vec, n, "schur", args.format, {"mu": list(mu)})
     else:
+        _guard_terms(parser, n, nvars, args.force_guard)
         _print_poly(llt_poly(shapes, nvars), None, n, "x", args.format, {"mu": list(mu)})
     return 0
 
@@ -316,6 +338,7 @@ def _cmd_jack(parser, args) -> int:
         vec = {nu: c.at_alpha(args.alpha) for nu, c in jack_alpha_m_vec(mu, nvars).items()}
         _print_poly(None, vec, n, "m", args.format, extra)
     else:
+        _guard_terms(parser, n, nvars, args.force_guard)
         _print_poly(jack_limit(mu, nvars, args.alpha), None, n, "x", args.format, extra)
     return 0
 

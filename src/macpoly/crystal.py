@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from typing import Iterable, Iterator
 
-from .fillings import Filling, positive_word_statistics, shape_data
+from .fillings import Filling, shape_data, word_statistics
 from .qtring import QT
 from .shapes import Partition, check_partition
 from .symfunc import syt_count, tableau_reading_word
@@ -79,12 +79,28 @@ def is_yamanouchi(word: Iterable[int]) -> bool:
 
 
 def yamanouchi_words(content: Partition) -> Iterator[Word]:
-    """Distinct words with the given partition content, Yamanouchi only."""
+    """The Yamanouchi words with the given partition content, each once,
+    built right to left: letter a may go in front of a suffix only while the
+    suffix holds fewer a's than (a-1)'s."""
     content = check_partition(content)
-    letters = [a for a, c in enumerate(content, start=1) for _ in range(c)]
-    for word in set(permutations(letters)):
-        if is_yamanouchi(word):
-            yield word
+    n = sum(content)
+    left = list(content)    # letters a still to place, at index a - 1
+    suffix: list[int] = []
+
+    def grow() -> Iterator[Word]:
+        if len(suffix) == n:
+            yield tuple(reversed(suffix))
+            return
+        for k in range(len(left)):
+            # the suffix holds content[k] - left[k] letters k + 1
+            if left[k] and (k == 0 or content[k] - left[k] < content[k - 1] - left[k - 1]):
+                left[k] -= 1
+                suffix.append(k + 1)
+                yield from grow()
+                suffix.pop()
+                left[k] += 1
+
+    yield from grow()
 
 
 def rsk(word: Iterable[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -190,7 +206,7 @@ def two_column_kostka(lam: Partition, mu: Partition) -> QT:
     sd = shape_data(mu)
     terms: dict[tuple[int, int], int] = {}
     for word in yamanouchi_words(lam):
-        maj, inv = positive_word_statistics(word, sd)
+        maj, inv, _ = word_statistics(word, sd)
         terms[(inv, maj)] = terms.get((inv, maj), 0) + 1
     return QT(terms)
 
@@ -244,9 +260,9 @@ def check_unique_yamanouchi(length: int, alphabet: int) -> bool:
 def check_filling_operators(mu: Partition, max_entry: int) -> bool:
     """On a two-column shape: the adjusted operators pair with the word
     operators (defined together, mutually inverse), fix descents and
-    inversion pairs, and act by the word operator on the Knuth class."""
-    from .fillings import word_attack_inversions, word_descent_positions
-
+    inversion pairs, and act by the word operator on the Knuth class. Equal
+    descents and equal inv (the inversion pairs less the arms of the
+    descents) mean equal inversion pairs."""
     mu = check_partition(mu)
     sd, _ = _two_column_data(mu)
     for word in product(range(1, max_entry + 1), repeat=sum(mu)):
@@ -259,9 +275,7 @@ def check_filling_operators(mu: Partition, max_entry: int) -> bool:
             if up_f is not None:
                 if filling_lower(up_f, i) != f:
                     return False
-                if word_descent_positions(up_f.word, sd) != word_descent_positions(word, sd):
-                    return False
-                if word_attack_inversions(up_f.word, sd) != word_attack_inversions(word, sd):
+                if word_statistics(up_f.word, sd) != word_statistics(word, sd):
                     return False
                 if rectify(up_f.word) != rectify(up_w):
                     return False

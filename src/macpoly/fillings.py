@@ -180,54 +180,27 @@ def parse_filling(text: str) -> Filling:
     return Filling.from_rows(rows)
 
 
-def filling_to_json(filling: Filling) -> dict:
-    return {"shape": list(filling.shape), "rows": filling.rows()}
-
-
-def filling_from_json(data: dict) -> Filling:
-    f = Filling.from_rows(data["rows"])
-    if f.shape != tuple(data["shape"]):
-        raise ValueError("shape field disagrees with row lengths")
-    return f
-
-
 # ---------------------------------------------------------------------------
 # word-level statistics
 
-def positive_word_statistics(word, sd: ShapeData) -> tuple[int, int]:
-    """(maj, inv) for a word of positive letters; plain > is the comparison."""
-    maj = 0
-    armsum = 0
-    pairs = 0
-    legs, arms = sd.legs, sd.arms
-    for p, b in enumerate(sd.below):
-        if b >= 0 and word[p] > word[b]:
-            maj += legs[p] + 1
-            armsum += arms[p]
-    for p, p2 in sd.attack_pairs:
-        if word[p] > word[p2]:
-            pairs += 1
-    return maj, pairs - armsum
-
-
-def word_statistics(word, sd: ShapeData, order: LetterOrder = ORDER1) -> tuple[int, int]:
-    """(maj, inv) for a word of signed letters under the given order."""
+def word_statistics(
+    word, sd: ShapeData, order: LetterOrder = ORDER1
+) -> tuple[int, int, tuple[int, ...]]:
+    """(maj, inv, descent positions) for a word of signed letters under the
+    given order, comparing by letter_key: the reference that coded_statistics
+    computes faster. On positive letters ORDER1 is plain >."""
     keys = [letter_key(x, order) for x in word]
-    maj = 0
-    armsum = 0
-    pairs = 0
-    legs, arms = sd.legs, sd.arms
-    for p, b in enumerate(sd.below):
-        if b >= 0:
-            x, y = word[p], word[b]
-            if keys[p] > keys[b] or (x == y and x < 0):
-                maj += legs[p] + 1
-                armsum += arms[p]
+    maj = inv = 0
+    descents = []
+    for p, (b, lg, a) in enumerate(zip(sd.below, sd.legs, sd.arms)):
+        if b >= 0 and (keys[p] > keys[b] or word[p] == word[b] < 0):
+            descents.append(p)
+            maj += lg + 1
+            inv -= a
     for p, p2 in sd.attack_pairs:
-        x, y = word[p], word[p2]
-        if keys[p] > keys[p2] or (x == y and x < 0):
-            pairs += 1
-    return maj, pairs - armsum
+        if keys[p] > keys[p2] or word[p] == word[p2] < 0:
+            inv += 1
+    return maj, inv, tuple(descents)
 
 
 def coded_statistics(coded, sd: ShapeData) -> tuple[int, int, tuple[int, ...]]:
@@ -246,28 +219,13 @@ def coded_statistics(coded, sd: ShapeData) -> tuple[int, int, tuple[int, ...]]:
     return maj, inv, tuple(descents)
 
 
-def word_descent_positions(word, sd: ShapeData, order: LetterOrder = ORDER1) -> tuple[int, ...]:
-    out = []
-    for p, b in enumerate(sd.below):
-        if b >= 0 and indicator(word[p], word[b], order):
-            out.append(p)
-    return tuple(out)
-
-
-def word_attack_inversions(word, sd: ShapeData, order: LetterOrder = ORDER1) -> int:
-    """|Inv|: attacking pairs (in reading order) whose indicator is 1."""
-    return sum(1 for p, p2 in sd.attack_pairs if indicator(word[p], word[p2], order))
-
-
 # ---------------------------------------------------------------------------
 # filling-level statistics
 
 def descent_cells(filling: Filling, order: LetterOrder = ORDER1) -> frozenset[Cell]:
     """Cells whose entry dominates the entry directly below (I = 1)."""
     sd = shape_data(filling.shape)
-    return frozenset(
-        sd.cells[p] for p in word_descent_positions(filling.word, sd, order)
-    )
+    return frozenset(sd.cells[p] for p in word_statistics(filling.word, sd, order)[2])
 
 
 def maj(filling: Filling, order: LetterOrder = ORDER1) -> int:
@@ -281,7 +239,10 @@ def inv(filling: Filling, order: LetterOrder = ORDER1) -> int:
 
 
 def attack_inversion_count(filling: Filling, order: LetterOrder = ORDER1) -> int:
-    return word_attack_inversions(filling.word, shape_data(filling.shape), order)
+    """|Inv|: attacking pairs (in reading order) whose indicator is 1."""
+    sd = shape_data(filling.shape)
+    w = filling.word
+    return sum(1 for p, p2 in sd.attack_pairs if indicator(w[p], w[p2], order))
 
 
 def bottom_row_inversions(filling: Filling, order: LetterOrder = ORDER1) -> int:

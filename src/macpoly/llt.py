@@ -46,8 +46,7 @@ class TupleData(NamedTuple):
     shapes: ShapeTuple
     cells: tuple[tuple[int, Cell], ...]     # (component, cell) sorted by beta
     betas: tuple[Fraction, ...]
-    inv_pairs: tuple[tuple[int, int], ...]  # positions p < p' with 0 < dbeta < 1
-    crossing_count: int                     # len(inv_pairs); the transpose shift
+    inv_pairs: tuple[tuple[int, int], ...]  # p < p' with 0 < dbeta < 1: the crossings
     comp_positions: tuple[tuple[int, ...], ...]  # component reading order -> position
 
 
@@ -73,7 +72,7 @@ def tuple_data(shapes: ShapeTuple) -> TupleData:
     comp_positions = tuple(
         tuple(pos[(ci, cell)] for cell in shape.cells()) for ci, shape in enumerate(shapes)
     )
-    return TupleData(tuple(shapes), cells, betas, inv_pairs, len(inv_pairs), comp_positions)
+    return TupleData(tuple(shapes), cells, betas, inv_pairs, comp_positions)
 
 
 def tableau_inversions(word, td: TupleData, order: LetterOrder = ORDER1) -> int:
@@ -247,7 +246,7 @@ def check_transpose_identity(shapes: Iterable[SkewShape], nvars: int) -> bool:
     """Transposing the tuple matches the all-barred evaluation with q inverted
     and one q^crossings factor."""
     shapes = tuple(shapes)
-    m = tuple_data(shapes).crossing_count
+    m = len(tuple_data(shapes).inv_pairs)
     lhs = llt_poly(transpose_tuple(shapes), nvars)
     rhs = llt_super_poly(shapes, 0, nvars, ORDER1).map_coefficients(lambda c: _shift_q(c, m))
     return lhs == rhs
@@ -264,7 +263,7 @@ def check_transpose_schur(shapes: Iterable[SkewShape], nvars: int) -> bool:
         raise ValueError("need at least one variable per cell for Schur expansion")
     lhs = m_to_schur(llt_m_vec(transpose_tuple(shapes), n))
     rhs = m_to_schur(llt_m_vec(shapes, n))
-    return lhs == omega_schur({lam: _shift_q(c, td.crossing_count) for lam, c in rhs.items()})
+    return lhs == omega_schur({lam: _shift_q(c, len(td.inv_pairs)) for lam, c in rhs.items()})
 
 
 def binary_inversion_poly(betas: Iterable[Fraction]) -> XPoly:

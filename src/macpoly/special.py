@@ -19,12 +19,7 @@ from collections import Counter
 from itertools import product
 from typing import Iterable, Sequence
 
-from .fillings import (
-    Filling,
-    ShapeData,
-    positive_word_statistics,
-    shape_data,
-)
+from .fillings import Filling, ShapeData, shape_data, word_statistics
 from .macdonald import content_m_vec, macdonald
 from .qtring import QT
 from .shapes import Partition, check_partition, conjugate, partitions, weighted_size
@@ -182,7 +177,7 @@ def integral_form_in_x(mu: Partition, nvars: int) -> XPoly:
     agree = [QT.one() - QT({(leg + 1, arm + 1): 1}) for leg, arm in zip(sd.legs, sd.arms)]
 
     def statistic(word) -> QT:
-        maj, inv = positive_word_statistics(word, sd)
+        maj, inv, _ = word_statistics(word, sd)
         return QT({(maj, nmu - inv): 1})
 
     return _non_attacking_sum(sd, nvars, agree, QT.one() - QT.t(), statistic)
@@ -264,8 +259,4 @@ def absolute_inv(filling: Filling) -> int:
 
 def absolute_maj(filling: Filling) -> int:
     """Major index of the absolute-value filling."""
-    sd = shape_data(filling.shape)
-    w = [abs(x) for x in filling.word]
-    return sum(
-        sd.legs[p] + 1 for p, b in enumerate(sd.below) if b >= 0 and w[p] > w[b]
-    )
+    return word_statistics([abs(x) for x in filling.word], shape_data(filling.shape))[0]

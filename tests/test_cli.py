@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -88,6 +89,27 @@ def test_guards_exit_with_usage_error(capsys):
             main(argv)
         assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hmu", "--basis", "x"], ["llt", "--basis", "x"], ["jack", "--alpha", "1", "--basis", "x"]],
+)
+def test_writing_out_many_monomials_is_guarded(capsys, argv):
+    # degree 3 in v variables has up to C(v + 2, 3) monomials: 9880 at 38
+    # variables, 10660 at 39, against the cap of 10000
+    assert cli.TERM_GUARD == 10_000
+    argv = [*argv, "--mu", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--vars", "39"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "above the guard of 10000; pass --force-guard" in out.err
+    code, out, _ = run_cli(capsys, *argv, "--vars", "39", "--force-guard")
+    assert code == 0
+    assert len(re.findall(r"x\d+(?:\^\d+)?(?:\*x\d+(?:\^\d+)?)*", out)) == 10660
+    assert run_cli(capsys, *argv, "--vars", "38")[0] == 0
 
 
 def test_llt_schur_of_eight_cells_passes_the_guard(capsys):

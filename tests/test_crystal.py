@@ -1,5 +1,7 @@
 """Crystal operators on words and on two-column fillings."""
 
+from itertools import permutations
+
 import pytest
 
 from macpoly.crystal import (
@@ -22,7 +24,8 @@ from macpoly.crystal import (
 from macpoly.fillings import Filling, inv, maj
 from macpoly.macdonald import macdonald
 from macpoly.qtring import QT
-from macpoly.symfunc import tableau_reading_word
+from macpoly.shapes import partitions
+from macpoly.symfunc import syt_count, tableau_reading_word
 
 
 def test_raise_flips_the_first_unmatched_upper_letter():
@@ -72,6 +75,16 @@ def test_yamanouchi_words_by_content():
     assert set(yamanouchi_words((2, 1))) == {(2, 1, 1), (1, 2, 1)}
     assert set(yamanouchi_words((2, 2))) == {(2, 1, 2, 1), (2, 2, 1, 1)}
     assert set(yamanouchi_words((1,))) == {(1,)}
+
+
+def test_yamanouchi_words_are_the_filtered_permutations():
+    # one word per standard tableau of shape lam, with no permutation walk
+    for n in range(9):
+        for lam in partitions(n):
+            words = list(yamanouchi_words(lam))
+            assert len(words) == len(set(words)) == syt_count(lam)
+            letters = [a for a, c in enumerate(lam, start=1) for _ in range(c)]
+            assert set(words) == {w for w in set(permutations(letters)) if is_yamanouchi(w)}
 
 
 def test_yamanouchi_words_are_the_raise_kernel():

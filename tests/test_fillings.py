@@ -10,10 +10,9 @@ from macpoly.fillings import (
     Filling,
     attack_inversion_count,
     bottom_row_inversions,
+    coded_statistics,
     cocharge_word,
     descent_cells,
-    filling_from_json,
-    filling_to_json,
     fillings,
     format_filling,
     format_letter,
@@ -23,6 +22,7 @@ from macpoly.fillings import (
     inversion_triples,
     is_non_attacking,
     is_standard,
+    letter_codes,
     letter_key,
     maj,
     parse_filling,
@@ -31,8 +31,9 @@ from macpoly.fillings import (
     standardize,
     super_fillings,
     super_letters,
+    word_statistics,
 )
-from macpoly.shapes import attacks
+from macpoly.shapes import attacks, partitions
 
 EXAMPLE = Filling.from_rows([[6, 2], [2, 4, 8], [4, 4, 1, 3]])
 SIGNED_EXAMPLE = Filling.from_rows([[6, -2], [-2, 4, -8], [-4, 4, 1, 3]])
@@ -103,6 +104,34 @@ def test_inv_decomposes_into_bottom_row_plus_triples():
             assert inv(f) == bottom_row_inversions(f) + inversion_triples(f)
 
 
+def test_word_statistics_follow_the_indicator_and_match_the_coded_statistics():
+    # the definitions through I(x, y): the descents are the cells p above a
+    # cell b with I(w_p, w_b) = 1; maj adds leg + 1 per descent, and inv counts
+    # the attacking pairs with I = 1 less the arms of the descents
+    letters = super_letters(2, 2)
+    for n in range(1, 5):
+        for mu in partitions(n):
+            sd = shape_data(mu)
+            for order in (ORDER1, ORDER2):
+                codes = letter_codes(letters, order)
+                for word in product(letters, repeat=n):
+                    descents = tuple(
+                        p
+                        for p, b in enumerate(sd.below)
+                        if b >= 0 and indicator(word[p], word[b], order)
+                    )
+                    pairs = sum(
+                        indicator(word[p], word[p2], order) for p, p2 in sd.attack_pairs
+                    )
+                    expected = (
+                        sum(sd.legs[p] + 1 for p in descents),
+                        pairs - sum(sd.arms[p] for p in descents),
+                        descents,
+                    )
+                    assert word_statistics(word, sd, order) == expected
+                    assert coded_statistics([codes[x] for x in word], sd) == expected
+
+
 def test_attack_pairs_agree_with_the_cell_predicate():
     for mu in ((4, 3, 2), (2, 2), (1, 1, 1)):
         sd = shape_data(mu)
@@ -158,12 +187,6 @@ def test_filling_text_round_trip():
     text = format_filling(SIGNED_EXAMPLE)
     assert text.splitlines()[0] == "6 2~"
     assert parse_filling(text) == SIGNED_EXAMPLE
-
-
-def test_filling_json_round_trip():
-    payload = filling_to_json(EXAMPLE)
-    assert payload["shape"] == [4, 3, 2]
-    assert filling_from_json(payload) == EXAMPLE
 
 
 def test_enumerators_count():

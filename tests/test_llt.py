@@ -53,7 +53,6 @@ def test_tuple_data_orders_cells_by_shifted_diagonal():
     td = tuple_data((CELL, CELL))
     assert td.betas == (Fraction(1, 2), Fraction(1))
     assert td.inv_pairs == ((0, 1),)
-    assert td.crossing_count == 1
 
 
 def test_two_single_cells_give_one_q():
