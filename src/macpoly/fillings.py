@@ -345,14 +345,14 @@ def filling_sum(
     sd: ShapeData,
     alphabet: dict[int, Weight],
     order: LetterOrder,
-    keep: Callable[[tuple[int, ...]], bool] | None = None,
+    words: Iterable[tuple[int, ...]] | None = None,
 ) -> dict[tuple[int, ...], QT]:
     """Sum of q^inv t^maj times the entry weights over the fillings of sd.mu
-    with letters from alphabet (those whose reading word of signed letters
-    keep accepts, when keep is given), as {x exponent vector: nonzero
-    coefficient}. A descent cell p adds sd.legs[p] + 1 to maj and takes
-    sd.arms[p] from inv; callers may pass other cell weights through
-    sd._replace.
+    whose signed reading words are those in words (by default, every word
+    over alphabet), as {x exponent vector: nonzero coefficient}. A descent
+    cell p adds sd.legs[p] + 1 to maj and takes sd.arms[p] from inv; callers
+    may pass other cell weights through sd._replace, or other geometries
+    (the crossings of an LLT tuple, with no cell below another).
 
     Each filling is a word in reading order whose letters are coded by
     letter_codes, so that I(x, y) is the test x >= y | 1. The weights of a
@@ -365,15 +365,15 @@ def filling_sum(
     # (p, position below p, leg + 1, arm) for every cell p with a cell below it
     descents = [(p, b, sd.legs[p] + 1, sd.arms[p]) for p, b in enumerate(sd.below) if b >= 0]
     pairs = sd.attack_pairs
-    if keep is None:
-        words = product(letter, repeat=n)
+    if words is None:
+        coded = product(letter, repeat=n)
     else:
-        words = (tuple(map(codes.__getitem__, w)) for w in product(codes, repeat=n) if keep(w))
+        coded = (tuple(map(codes.__getitem__, w)) for w in words)
     # a content as one integer: the number of entries coded v is its digit v in base n + 1
     digit = [(n + 1) ** v for v in range(2 * len(letter))]
     by_content: dict[int, tuple] = {}
     acc: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for word in words:
+    for word in coded:
         content = sum(map(digit.__getitem__, word))
         group = by_content.get(content)
         if group is None:
@@ -425,35 +425,24 @@ def content_filling_sum(
     nothing; equal barred letters compare as I = 1, so a barred cell also
     counts the cells of its own block as filled.
 
-    A placement rule, given as one (strict, weak) pair of bit masks per cell,
-    restricts the fillings: a cell joins a block only when every cell of its
-    strict mask is filled and every cell of its weak mask is filled or in the
-    same block. The semistandard tuples of llt.llt_m_vec take the cell below
-    as the strict mask and the cell to the left as the weak one."""
+    Each cell has a (strict, weak) pair of bit masks, from rule or else empty
+    (H̃_μ and the signed sums): a cell joins a block only when its strict
+    cells are filled and its weak cells are filled or in the block, which is
+    checked only while some admitted cell's weak mask is open. The
+    semistandard tuples of llt.llt_m_vec take the cell below as the strict
+    mask and the cell to the left as the weak one."""
     n = len(sd.cells)
+    strict, weak = zip(*rule) if rule else ((0,) * n, (0,) * n)
     later = [0] * n
     for p, p2 in sd.attack_pairs:
         later[p] |= 1 << p2
-    below, arms, legs = sd.below, sd.arms, sd.legs
+    # (bit, strict mask, weak mask, later attackers, bit of the cell below or 0,
+    # arm, leg + 1) per cell
+    cells = [
+        (1 << p, strict[p], weak[p], later[p], 1 << b if b >= 0 else 0, sd.arms[p], sd.legs[p] + 1)
+        for p, b in enumerate(sd.below)
+    ]
     full = (1 << n) - 1
-    if rule is not None:
-        strict = [s for s, _ in rule]
-        weak = {1 << p: w for p, (_, w) in enumerate(rule)}
-
-    def ready(filled):
-        """The empty cells whose strict masks are filled."""
-        return sum(1 << p for p in range(n) if not (filled >> p & 1 or strict[p] & ~filled))
-
-    def joinable(moves, size, filled):
-        """The blocks of size cells among moves whose weak masks are covered."""
-
-        def accepted(block):
-            mask = filled
-            for bit, _, _ in block:
-                mask |= bit
-            return all(not weak[bit] & ~mask for bit, _, _ in block)
-
-        return filter(accepted, combinations(moves, size))
 
     def place(states, target, exact, weight, self_comparing):
         """Every state joined by a block of target - |filled| empty cells
@@ -461,36 +450,33 @@ def content_filling_sum(
         sign, da, db = weight
         step: dict[int, dict[tuple[int, int], int]] = {}
         for filled, counts in states.items():
-            # (bit, inv, maj) that each admitted cell adds when it joins the block
-            moves = []
-            admitted = full ^ filled if rule is None else ready(filled)
-            for p in range(n):
-                if admitted >> p & 1:
-                    inv, maj = (later[p] & filled).bit_count() + da, db
-                    b = below[p]
-                    if b >= 0 and filled >> b & 1:
-                        inv, maj = inv - arms[p], maj + legs[p] + 1
-                    moves.append((1 << p, inv, maj))
+            empty = full ^ filled
+            # (bit, inv, maj) that each admitted cell adds when it joins the
+            # block, and (bit, open cells) for each whose weak mask is open
+            moves, gates = [], []
+            for bit, s, w, lat, down, a, lp in cells:
+                if bit & empty and not s & empty:
+                    inv = (lat & filled).bit_count() + da
+                    moves.append((bit, inv - a, db + lp) if down & filled else (bit, inv, db))
+                    if w & empty:
+                        gates.append((bit, w & empty))
             need = target - filled.bit_count()
             for size in (need,) if exact else range(need + 1):
                 factor = sign**size
                 terms = counts.items() if factor == 1 else [(k, factor * c) for k, c in counts.items()]
-                if rule is None:
-                    blocks = combinations(moves, size)
-                else:
-                    blocks = joinable(moves, size, filled)
-                for block in blocks:
+                for block in combinations(moves, size):
                     mask, inv, maj = filled, 0, 0
                     for bit, i, m in block:
                         mask, inv, maj = mask | bit, inv + i, maj + m
+                    if gates and any(bit & mask and open_ & ~mask for bit, open_ in gates):
+                        continue
                     if self_comparing:
                         new = mask ^ filled
                         for bit, _, _ in block:
-                            p = bit.bit_length() - 1
-                            inv += (later[p] & new).bit_count()
-                            b = below[p]
-                            if b >= 0 and new >> b & 1:
-                                inv, maj = inv - arms[p], maj + legs[p] + 1
+                            _, _, _, lat, down, a, lp = cells[bit.bit_length() - 1]
+                            inv += (lat & new).bit_count()
+                            if down & new:
+                                inv, maj = inv - a, maj + lp
                     acc = step.setdefault(mask, {})
                     for (i, m), c in terms:
                         key = (i + inv, m + maj)
@@ -515,3 +501,9 @@ def abs_alphabet(
     alphabet = {k: (k - 1, *plain) for k in range(1, npos + 1)}
     alphabet.update({-k: (k - 1, *barred) for k in range(1, nneg + 1)})
     return alphabet
+
+
+def xy_alphabet(npos: int, nneg: int) -> dict[int, Weight]:
+    """The letters 1..npos marking x_1..x_npos and 1~..nneg~ marking the
+    variables after them, with no sign, q or t (symfunc.super_exponents)."""
+    return {x: (x - 1 if x > 0 else npos - x - 1, 1, 0, 0) for x in super_letters(npos, nneg)}

@@ -12,8 +12,10 @@ vertical strips.
 The plain polynomial comes from its monomial coefficients (llt_m_vec): one
 content DP per m_nu (fillings.content_filling_sum), which places the letters
 block by block under the semistandard placement rule and settles each
-inversion pair when its larger letter is placed. llt_super_poly enumerates
-the signed tuples (tuple_tableau_words) and is the DP's test oracle.
+inversion pair when its larger letter is placed. llt_super_poly hands the
+signed tuples (tuple_tableau_words) to the filling-sum kernel and is the DP's
+test oracle. Both read the tuple as a ShapeData of its crossings
+(crossing_data).
 """
 
 from __future__ import annotations
@@ -23,7 +25,16 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, NamedTuple
 
-from .fillings import ORDER1, LetterOrder, indicator, letter_codes, shape_data, super_letters
+from .fillings import (
+    ORDER1,
+    LetterOrder,
+    ShapeData,
+    filling_sum,
+    indicator,
+    shape_data,
+    super_letters,
+    xy_alphabet,
+)
 from .macdonald import content_m_vec, descent_class_polys
 from .qtring import QT
 from .shapes import (
@@ -35,7 +46,7 @@ from .shapes import (
     ribbon_tuple,
     skew_from_cells,
 )
-from .symfunc import XPoly, from_m_basis, m_to_schur, omega_schur, super_exponents
+from .symfunc import XPoly, from_m_basis, m_to_schur, omega_schur
 
 ShapeTuple = tuple[SkewShape, ...]
 
@@ -73,6 +84,15 @@ def tuple_data(shapes: ShapeTuple) -> TupleData:
         tuple(pos[(ci, cell)] for cell in shape.cells()) for ci, shape in enumerate(shapes)
     )
     return TupleData(tuple(shapes), cells, betas, inv_pairs, comp_positions)
+
+
+def crossing_data(td: TupleData) -> ShapeData:
+    """The tuple as the ShapeData fields the filling sums read: the crossings
+    stand for the attacking pairs, and no cell lies below another."""
+    n = len(td.cells)
+    return shape_data(())._replace(
+        cells=td.cells, attack_pairs=td.inv_pairs, below=(-1,) * n, arms=(0,) * n, legs=(0,) * n
+    )
 
 
 def tableau_inversions(word, td: TupleData, order: LetterOrder = ORDER1) -> int:
@@ -136,18 +156,12 @@ def llt_m_vec(shapes: Iterable[SkewShape], nvars: int) -> dict[Partition, QT]:
     strict), and its left neighbour is filled or in the same block (rows are
     weak). There is no maj term."""
     td = tuple_data(tuple(shapes))
-    n = len(td.cells)
     pos = {pair: p for p, pair in enumerate(td.cells)}
     rule = []
     for ci, (i, j) in td.cells:
         lower, left = pos.get((ci, (i - 1, j))), pos.get((ci, (i, j - 1)))
         rule.append((0 if lower is None else 1 << lower, 0 if left is None else 1 << left))
-    # the fields the DP reads: the inversion pairs stand for the attacking
-    # pairs, and no cell lies below another, so there are no descents
-    sd = shape_data(())._replace(
-        cells=td.cells, attack_pairs=td.inv_pairs, below=(-1,) * n, arms=(0,) * n, legs=(0,) * n
-    )
-    return content_m_vec(sd, nvars, (1, 0, 0), None, tuple(rule))
+    return content_m_vec(crossing_data(td), nvars, (1, 0, 0), None, tuple(rule))
 
 
 def llt_poly(shapes: Iterable[SkewShape], nvars: int) -> XPoly:
@@ -158,20 +172,14 @@ def llt_poly(shapes: Iterable[SkewShape], nvars: int) -> XPoly:
 def llt_super_poly(
     shapes: Iterable[SkewShape], npos: int, nneg: int, order: LetterOrder = ORDER1
 ) -> XPoly:
-    """Signed-alphabet LLT sum; restricting the barred block to zero recovers
-    the plain polynomial. Inversions are counted on letter_codes codes, as
-    tableau_inversions would count them."""
+    """Signed-alphabet LLT sum, x block then y block of variables: the
+    filling-sum kernel on the tuple's crossings (crossing_data), handed the
+    signed semistandard tuples (tuple_tableau_words). Restricting the barred
+    block to zero recovers the plain polynomial."""
     shapes = tuple(shapes)
-    pairs = tuple_data(shapes).inv_pairs
-    codes = letter_codes(super_letters(npos, nneg, order), order)
-    acc: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for word in tuple_tableau_words(shapes, npos, nneg, order):
-        c = [codes[x] for x in word]
-        q = sum(1 for p, p2 in pairs if c[p] >= c[p2] | 1)
-        e = super_exponents(word, npos, nneg)
-        inner = acc.setdefault(e, {})
-        inner[(q, 0)] = inner.get((q, 0), 0) + 1
-    return XPoly(npos + nneg, {e: QT(d) for e, d in acc.items()})
+    sd = crossing_data(tuple_data(shapes))
+    words = tuple_tableau_words(shapes, npos, nneg, order)
+    return XPoly(npos + nneg, filling_sum(sd, xy_alphabet(npos, nneg), order, words))
 
 
 def standard_tuple_words(shapes: ShapeTuple) -> Iterator[tuple[int, ...]]:

@@ -27,6 +27,7 @@ from .fillings import (
     content_filling_sum,
     filling_sum,
     shape_data,
+    xy_alphabet,
 )
 from .qtring import QT, elementary_coeffs
 from .shapes import (
@@ -34,23 +35,19 @@ from .shapes import (
     Partition,
     arm,
     cell_biexponents,
+    check_descent_cells,
     check_partition,
     conjugate,
-    contains,
     leg,
     partitions,
 )
 from .symfunc import XPoly, from_m_basis, m_to_schur
 
 
-def _positive(nvars: int) -> dict[int, Weight]:
-    return {k: (k - 1, 1, 0, 0) for k in range(1, nvars + 1)}
-
-
 def macdonald_in_x(mu: Partition, nvars: int) -> XPoly:
     """Sum of q^inv t^maj x^sigma over all fillings with entries <= nvars."""
     sd = shape_data(check_partition(mu))
-    return XPoly(nvars, filling_sum(sd, _positive(nvars), ORDER1))
+    return XPoly(nvars, filling_sum(sd, xy_alphabet(nvars, 0), ORDER1))
 
 
 @dataclass(frozen=True)
@@ -109,19 +106,7 @@ def super_macdonald_in_xy(
 ) -> XPoly:
     """The signed-alphabet filling sum; x-block then y-block of variables."""
     sd = shape_data(check_partition(mu))
-    alphabet = _positive(npos)
-    alphabet.update({-k: (npos + k - 1, 1, 0, 0) for k in range(1, nneg + 1)})
-    return XPoly(npos + nneg, filling_sum(sd, alphabet, order))
-
-
-def _check_descent_cells(mu: Partition, descents: Iterable[Cell]) -> frozenset[Cell]:
-    chosen = frozenset((int(i), int(j)) for (i, j) in descents)
-    for cell in chosen:
-        if not contains(mu, cell):
-            raise ValueError(f"descent cell {cell} lies outside {mu}")
-        if cell[0] < 2:
-            raise ValueError(f"descent cell {cell} has no cell below it")
-    return chosen
+    return XPoly(npos + nneg, filling_sum(sd, xy_alphabet(npos, nneg), order))
 
 
 def descent_class_polys(mu: Partition, nvars: int) -> dict[frozenset[Cell], XPoly]:
@@ -149,7 +134,7 @@ def descent_class_poly(mu: Partition, descents: Iterable[Cell], nvars: int) -> X
     """The generating function of one descent class (q counts all attacking
     inversion pairs, with no arm correction and no t)."""
     mu = check_partition(mu)
-    target = _check_descent_cells(mu, descents)
+    target = check_descent_cells(mu, descents)
     return descent_class_polys(mu, nvars).get(target, XPoly.zero(nvars))
 
 
@@ -157,7 +142,7 @@ def descent_class_weight(mu: Partition, descents: Iterable[Cell]) -> QT:
     """The prefactor q^-a(D) t^maj(D) tying descent classes back together:
     maj(D) sums leg+1 and a(D) sums arms over the chosen cells."""
     mu = check_partition(mu)
-    chosen = _check_descent_cells(mu, descents)
+    chosen = check_descent_cells(mu, descents)
     maj = sum(leg(mu, c) + 1 for c in chosen)
     a = sum(arm(mu, c) for c in chosen)
     return QT({(-a, maj): 1})

@@ -280,6 +280,17 @@ def ribbon_descents(shape: SkewShape) -> frozenset[int]:
     return frozenset(shape.content((i, j)) for (i, j) in cells if (i - 1, j) in cells)
 
 
+def check_descent_cells(mu: Partition, cells: Iterable[Cell]) -> frozenset[Cell]:
+    """The cells as a set, each checked to lie in mu with a cell below it."""
+    chosen = frozenset((int(i), int(j)) for (i, j) in cells)
+    for cell in chosen:
+        if not contains(mu, cell):
+            raise ValueError(f"descent cell {cell} lies outside {mu}")
+        if cell[0] < 2:
+            raise ValueError(f"descent cell {cell} has no cell below it")
+    return chosen
+
+
 def ribbon_tuple(mu: Partition, descent_cells: Iterable[Cell]) -> tuple[SkewShape, ...]:
     """One ribbon per column of mu, encoding a choice of descent cells.
 
@@ -287,12 +298,7 @@ def ribbon_tuple(mu: Partition, descent_cells: Iterable[Cell]) -> tuple[SkewShap
     cells (i, j) with i >= 2 were selected in that column.
     """
     mu = check_partition(mu)
-    chosen = set(descent_cells)
-    for cell in chosen:
-        if not contains(mu, cell):
-            raise ValueError(f"descent cell {cell} lies outside {mu}")
-        if cell[0] < 2:
-            raise ValueError(f"descent cell {cell} has nothing below it")
+    chosen = check_descent_cells(mu, descent_cells)
     heights = conjugate(mu)
     return tuple(
         ribbon_from_descents(heights[j - 1], {i for (i, jj) in chosen if jj == j})

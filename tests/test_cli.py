@@ -10,6 +10,7 @@ import pytest
 
 from macpoly import cli
 from macpoly.cli import main
+from macpoly.macdonald import descent_class_poly, descent_class_weight
 
 
 def run_cli(capsys, *argv):
@@ -356,6 +357,22 @@ def test_llt_rejects_bad_descents(capsys):
         main(["llt", "--mu", "2,1", "--descents", "1,1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cell", [(1, 1), (3, 1), (2, 2)], ids=["first-row", "above", "right"])
+def test_llt_and_the_descent_classes_reject_a_bad_cell_alike(capsys, cell):
+    # one checker guards ribbon_tuple, descent_class_poly and descent_class_weight
+    with pytest.raises(ValueError) as weight_exc:
+        descent_class_weight((2, 1), [cell])
+    with pytest.raises(ValueError) as class_exc:
+        descent_class_poly((2, 1), [cell], 3)
+    assert str(weight_exc.value) == str(class_exc.value)
+    with pytest.raises(SystemExit) as exc:
+        main(["llt", "--mu", "2,1", "--descents", f"{cell[0]},{cell[1]}"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.rstrip().endswith(f"error: {weight_exc.value}")
 
 
 def test_jack_monomial_text(capsys):

@@ -1,13 +1,13 @@
 """The filling-sum kernel and its eight folds against a naive sum over Filling
 objects that takes maj and inv from the per-filling statistics; the content DP,
-positive and signed, against the kernel's monomial coefficients; and the route
-through Gessel's
-fundamental quasisymmetric functions (F route), kept here as an oracle for
-sizes the kernel cannot afford, against the same statistics, the positive sum
-and macdonald()."""
+positive and signed, with and without placement rules, against the kernel's
+monomial coefficients; and the route through Gessel's fundamental
+quasisymmetric functions (F route), kept here as an oracle for sizes the
+kernel cannot afford, against the same statistics, the positive sum and
+macdonald()."""
 
 from importlib import import_module
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +26,7 @@ from macpoly.fillings import (
     inv,
     inverse_descent_set,
     is_non_attacking,
+    letter_codes,
     maj,
     shape_data,
     super_fillings,
@@ -108,12 +109,12 @@ def test_kernel_matches_the_naive_sum():
             nvars = npos + nneg
             for order in ORDERS:
                 term = weighted_term(alphabet, order, nvars)
-                # keep reads the signed reading word; the naive sum filters Filling objects
-                for keep, keep_filling in (
-                    (None, None),
-                    (lambda word: word_is_non_attacking(word, sd), is_non_attacking),
-                ):
-                    got = XPoly(nvars, filling_sum(sd, alphabet, order, keep))
+                # the kernel is handed signed reading words; the naive sum filters Filling objects
+                non_attacking = [
+                    w for w in product(alphabet, repeat=len(sd.cells)) if word_is_non_attacking(w, sd)
+                ]
+                for words, keep_filling in ((None, None), (non_attacking, is_non_attacking)):
+                    got = XPoly(nvars, filling_sum(sd, alphabet, order, words))
                     assert got == naive(mu, npos, nneg, order, nvars, term, keep_filling), (mu, npos, nneg)
 
 
@@ -239,6 +240,58 @@ def test_signed_content_sum_is_the_monomial_coefficient_of_the_kernel(case, plai
     m = len(alpha)
     expected = filling_sum(sd, abs_alphabet(m, m, plain, bars), ORDER1).get(alpha, QT.zero())
     assert content_filling_sum(sd, alpha, plain, bars) == expected
+
+
+@st.composite
+def placement_rules(draw, n):
+    """One (strict, weak) pair of bit masks per cell, each of at most two other
+    cells. The strict masks follow a random ranking of the cells, so that
+    most rules admit some filling; the weak masks may form cycles."""
+    rank = draw(st.permutations(range(n)))
+
+    def mask(cells):
+        if not cells:
+            return st.just(0)
+        return st.sets(st.sampled_from(cells), max_size=2).map(lambda s: sum(1 << p for p in s))
+
+    return tuple(
+        (
+            draw(mask([q for q in range(n) if rank[q] < rank[p]])),
+            draw(mask([q for q in range(n) if q != p])),
+        )
+        for p in range(n)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_content_sum_with_a_placement_rule_is_the_monomial_coefficient_of_the_kernel(data):
+    # the rule admits the words whose strict cells hold smaller codes and whose
+    # weak cells hold codes no larger; positive and signed letter weights
+    mu, alpha = data.draw(shapes_and_contents(max_cells=5))
+    sd = shape_data(mu)
+    n, m = len(sd.cells), len(alpha)
+    rule = data.draw(placement_rules(n))
+    plain = data.draw(SIGNED_WEIGHT)
+    bars = data.draw(st.none() | SIGNED_WEIGHT) if m <= 3 else None
+    if bars is None:
+        alphabet = {k: (k - 1, *plain) for k in range(1, m + 1)}
+    else:
+        alphabet = abs_alphabet(m, m, plain, bars)
+    codes = letter_codes(alphabet, ORDER1)
+
+    def admitted(word):
+        c = [codes[x] for x in word]
+        return all(
+            c[s] < c[p] if strict >> s & 1 else c[s] <= c[p]
+            for p, (strict, weak) in enumerate(rule)
+            for s in range(n)
+            if (strict | weak) >> s & 1
+        )
+
+    words = [w for w in product(alphabet, repeat=n) if admitted(w)]
+    expected = filling_sum(sd, alphabet, ORDER1, words).get(alpha, QT.zero())
+    assert content_filling_sum(sd, alpha, plain, bars, rule) == expected
 
 
 @pytest.mark.parametrize(

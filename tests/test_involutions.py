@@ -2,6 +2,8 @@
 pivots against the rules on Filling objects, and mutants of the pivots that
 the involutions suite must catch."""
 
+from itertools import product
+
 import pytest
 
 from macpoly import verify
@@ -137,6 +139,21 @@ def test_signed_sums_collapse_to_fixed_points():
         assert row_bound_cancellation_holds(mu, 2, 2)
     assert attack_cancellation_holds((2, 2), 1, 1)
     assert row_bound_cancellation_holds((2, 2), 2, 2)
+
+
+@pytest.mark.parametrize(
+    "pivot_of, cancels",
+    [(attack_pivot, attack_cancellation_holds), (row_bound_pivot, row_bound_cancellation_holds)],
+    ids=["attack", "row-bound"],
+)
+def test_the_walks_fixed_set_reaches_the_kernel(pivot_of, cancels):
+    # the fixed points as the involutions suite collects them: the signed sum
+    # collapses onto them, and onto nothing less
+    for mu in ((1, 1), (2, 1), (2, 2)):
+        sd = shape_data(mu)
+        fixed = {w for w in product(super_letters(2, 2), repeat=len(sd.cells)) if pivot_of(w, sd) is None}
+        assert cancels(mu, 2, 2, fixed), mu
+        assert not cancels(mu, 2, 2, fixed - {min(fixed)}), mu
 
 
 def test_cancellation_needs_a_sign_symmetric_alphabet():

@@ -14,13 +14,15 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "macpoly"
 
-# the x-polynomial oracles, the two-letter (1 - u) sum (2^n words) and the
-# involution checks, which test per-filling behaviour
+# the x-polynomial oracles, the two-letter (1 - u) sum (2^n words), the
+# involution checks, which test per-filling behaviour, and the signed LLT
+# oracle, which hands the kernel only the semistandard tuples
 ALLOWED = {
     "macdonald.macdonald_in_x",
     "macdonald.super_macdonald_in_xy",
     "macdonald.one_minus_u_coeffs",
     "involutions._signed_sums",
+    "llt.llt_super_poly",
 }
 
 
