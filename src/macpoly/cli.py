@@ -9,8 +9,8 @@ ten single cells) and a table at n = 9 (about 7 s). hmu --basis x and llt
 --basis x write that DP's monomial vector out term by term, and jmu and jack
 run the DP over a signed alphabet; these are capped at 7 cells (under 1 s).
 The write-outs of hmu, llt and jack --basis x are also capped at 10,000
-monomials, the C(vars + n - 1, n) that --vars allows (about 1 s as text,
-2.3 s as JSON at 7 cells).
+monomials, the C(vars + n - 1, n) that --vars allows (under 1 s as text or
+JSON at 7 cells).
 verify is capped at n = 6: its signed sums, descent classes and symmetry
 check go through the same DP, and its exponential costs are the jack direct
 sum (n^n words) and the signed words of the involution checks (verify jack
@@ -43,7 +43,7 @@ from multiprocessing import Pool
 
 from . import __version__
 from .crystal import two_column_kostka
-from .llt import llt_m_vec, llt_poly
+from .llt import llt_m_vec
 from .macdonald import macdonald
 from .qtring import QT
 from .shapes import (
@@ -53,8 +53,8 @@ from .shapes import (
     partitions,
     ribbon_tuple,
 )
-from .special import hall_littlewood_schur, integral_form_m_vec, jack_alpha_m_vec, jack_limit
-from .symfunc import XPoly, from_m_basis, m_to_schur
+from .special import hall_littlewood_schur, integral_form_m_vec, jack_alpha_m_vec
+from .symfunc import from_m_basis, m_to_schur
 from .verify import BETA_VALUES, SUITES, run_suite, suite_bounds
 
 # size guards, one per cost class (see the module docstring)
@@ -144,17 +144,15 @@ def _vec_json(vec: dict[Partition, object], n: int) -> list:
     ]
 
 
-def _print_poly(f: XPoly, vec, n: int, basis: str, fmt: str, extra: dict) -> None:
-    if fmt == "json":
-        payload = dict(extra)
-        payload["basis"] = basis
-        if basis == "x":
-            payload["polynomial"] = f.to_json()
-        else:
-            payload["terms"] = _vec_json(vec, n)
-        print(json.dumps(payload, indent=2))
-    elif basis == "x":
-        print(f)
+def _print_poly(vec, n: int, basis: str, fmt: str, extra: dict, nvars: int | None = None) -> None:
+    """Print an m- or Schur vector; --basis x writes the m-vector out in nvars
+    variables, the one place the command line builds an x-polynomial."""
+    if basis == "x":
+        f = from_m_basis(vec, nvars)
+        # unindented: indent would make the JSON about 8 times the text
+        print(json.dumps({**extra, "basis": basis, "polynomial": f.to_json()}) if fmt == "json" else f)
+    elif fmt == "json":
+        print(json.dumps({**extra, "basis": basis, "terms": _vec_json(vec, n)}, indent=2))
     else:
         print(_vec_text(vec, n, "m" if basis == "m" else "s"))
 
@@ -172,11 +170,8 @@ def _cmd_hmu(parser, args) -> int:
     if args.basis == "x":
         _guard_terms(parser, n, nvars, args.force_guard)
     res = macdonald(mu)
-    if args.basis == "x":
-        f, vec = from_m_basis(res.m_vec, nvars), None
-    else:
-        f, vec = None, res.m_vec if args.basis == "m" else res.schur_vec
-    _print_poly(f, vec, n, args.basis, args.format, {"mu": list(mu)})
+    vec = res.schur_vec if args.basis == "schur" else res.m_vec
+    _print_poly(vec, n, args.basis, args.format, {"mu": list(mu)}, nvars)
     return 0
 
 
@@ -317,10 +312,10 @@ def _cmd_llt(parser, args) -> int:
         if nvars < n:
             parser.error(f"Schur output needs at least {n} variables")
         vec = m_to_schur(llt_m_vec(shapes, n))
-        _print_poly(None, vec, n, "schur", args.format, {"mu": list(mu)})
     else:
         _guard_terms(parser, n, nvars, args.force_guard)
-        _print_poly(llt_poly(shapes, nvars), None, n, "x", args.format, {"mu": list(mu)})
+        vec = llt_m_vec(shapes, nvars)
+    _print_poly(vec, n, args.basis, args.format, {"mu": list(mu)}, nvars)
     return 0
 
 
@@ -333,13 +328,10 @@ def _cmd_jack(parser, args) -> int:
     nvars = args.vars or max(n, 1)
     if args.basis == "m" and nvars < n:
         parser.error(f"monomial output needs at least {n} variables")
-    extra = {"mu": list(mu), "alpha": args.alpha}
-    if args.basis == "m":
-        vec = {nu: c.at_alpha(args.alpha) for nu, c in jack_alpha_m_vec(mu, nvars).items()}
-        _print_poly(None, vec, n, "m", args.format, extra)
-    else:
+    if args.basis == "x":
         _guard_terms(parser, n, nvars, args.force_guard)
-        _print_poly(jack_limit(mu, nvars, args.alpha), None, n, "x", args.format, extra)
+    vec = {nu: c.at_alpha(args.alpha) for nu, c in jack_alpha_m_vec(mu, nvars).items()}
+    _print_poly(vec, n, args.basis, args.format, {"mu": list(mu), "alpha": args.alpha}, nvars)
     return 0
 
 
@@ -351,7 +343,7 @@ def _cmd_jmu(parser, args) -> int:
     if nvars < n:
         parser.error(f"monomial output needs at least {n} variables")
     vec = integral_form_m_vec(mu, nvars)
-    _print_poly(None, vec, n, "m", args.format, {"mu": list(mu)})
+    _print_poly(vec, n, "m", args.format, {"mu": list(mu)})
     return 0
 
 
@@ -360,7 +352,7 @@ def _cmd_hall_littlewood(parser, args) -> int:
     n = sum(mu)
     _guard(parser, n, SHAPE_GUARD, args.force_guard)
     vec = hall_littlewood_schur(mu)
-    _print_poly(None, vec, n, "schur", args.format, {"mu": list(mu)})
+    _print_poly(vec, n, "schur", args.format, {"mu": list(mu)})
     return 0
 
 

@@ -233,13 +233,12 @@ def delete_two_cell_columns(shapes: Iterable[SkewShape]) -> tuple[ShapeTuple, in
 def check_ribbon_factorization(mu: Partition, nvars: int) -> bool:
     """For every set D of cells of mu with a cell below them, the descent-class
     generating function of D equals the LLT polynomial of the ribbon tuple of
-    D; one content DP run gives every class."""
+    D, compared as m-vectors; one content DP run gives every class."""
     mu = check_partition(mu)
     classes = descent_class_polys(mu, nvars)
     upper = [c for c in reading_cells(mu) if c[0] >= 2]
-    zero = XPoly.zero(nvars)
     return all(
-        classes.get(frozenset(d), zero) == llt_poly(ribbon_tuple(mu, d), nvars)
+        classes.get(frozenset(d), {}) == llt_m_vec(ribbon_tuple(mu, d), nvars)
         for k in range(len(upper) + 1)
         for d in combinations(upper, k)
     )

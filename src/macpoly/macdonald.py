@@ -109,11 +109,11 @@ def super_macdonald_in_xy(
     return XPoly(npos + nneg, filling_sum(sd, xy_alphabet(npos, nneg), order))
 
 
-def descent_class_polys(mu: Partition, nvars: int) -> dict[frozenset[Cell], XPoly]:
-    """For each descent-cell set D: the sum of q^|Inv| x^sigma over fillings
-    with entries <= nvars whose descent set is exactly D. Each class is
-    symmetric (an LLT polynomial), so it comes from the content DP's m_nu
-    coefficients."""
+def descent_class_polys(mu: Partition, nvars: int) -> dict[frozenset[Cell], dict[Partition, QT]]:
+    """For each descent-cell set D: the m-vector, nu with at most nvars parts,
+    of the sum of q^|Inv| x^sigma over the fillings whose descent set is
+    exactly D. Each class is symmetric (an LLT polynomial), so the content
+    DP's m_nu coefficients, split by descent set, give it."""
     sd = shape_data(check_partition(mu))
     n = len(sd.cells)
     # leg 2^p - 1 and arm 0 on every cell p turn (inv, maj) into the number
@@ -125,17 +125,17 @@ def descent_class_polys(mu: Partition, nvars: int) -> dict[frozenset[Cell], XPol
             acc.setdefault(mask, {}).setdefault(nu, {})[(pairs, 0)] = count
     return {
         frozenset(cell for p, cell in enumerate(sd.cells) if mask >> p & 1):
-            from_m_basis({nu: QT(d) for nu, d in m_vec.items()}, nvars)
+            {nu: QT(d) for nu, d in m_vec.items()}
         for mask, m_vec in acc.items()
     }
 
 
-def descent_class_poly(mu: Partition, descents: Iterable[Cell], nvars: int) -> XPoly:
-    """The generating function of one descent class (q counts all attacking
-    inversion pairs, with no arm correction and no t)."""
+def descent_class_poly(mu: Partition, descents: Iterable[Cell], nvars: int) -> dict[Partition, QT]:
+    """The m-vector of one descent class (q counts all attacking inversion
+    pairs, with no arm correction and no t); {} when no filling has it."""
     mu = check_partition(mu)
     target = check_descent_cells(mu, descents)
-    return descent_class_polys(mu, nvars).get(target, XPoly.zero(nvars))
+    return descent_class_polys(mu, nvars).get(target, {})
 
 
 def descent_class_weight(mu: Partition, descents: Iterable[Cell]) -> QT:

@@ -51,13 +51,13 @@ from .llt import (
 )
 from .macdonald import (
     check_conjugate_duality,
+    content_m_vec,
     descent_class_polys,
     descent_class_weight,
     hook_schur_coeff,
     macdonald,
     one_minus_u_coeffs,
-    plethysm_q_minus_one,
-    plethysm_t_minus_one,
+    plethystic_weights,
 )
 from .qtring import QT, elementary_coeffs
 from .shapes import (
@@ -70,12 +70,12 @@ from .shapes import (
 from .special import (
     cocharge,
     hall_littlewood_schur,
-    integral_form_from_macdonald,
     integral_form_in_x,
+    integral_form_m_vec,
     inv_zero_filling,
     jack_alpha_in_x,
 )
-from .symfunc import XPoly, from_m_basis, syt_count, to_m_basis
+from .symfunc import XPoly, syt_count, to_m_basis
 
 Check = tuple[str, bool]
 
@@ -89,7 +89,8 @@ def suite_axioms(n_max: int = 4) -> list[Check]:
     """Normalization, symmetry, positivity, duality, counting, substitutions.
 
     Symmetry runs the content DP on every composition of n, each permutation
-    of each nu, and compares it with the m_nu coefficient."""
+    of each nu, and compares it with the m_nu coefficient. The substitution
+    supports are read off the signed DP's m-vectors."""
     norm = sym = pos = counts = dual = units = hooks = qside = tside = True
     for mu in _all_partitions(n_max):
         n = sum(mu)
@@ -107,9 +108,9 @@ def suite_axioms(n_max: int = 4) -> list[Check]:
         for d in range(n):
             hook = (n - d,) + (1,) * d
             hooks &= res.schur_vec.get(hook, QT.zero()) == hook_schur_coeff(mu, d)
-        qsupp = to_m_basis(plethysm_q_minus_one(mu, n))
+        qsupp = content_m_vec(sd, n, *plethystic_weights(True))
         qside &= all(dominance_leq(rho, conjugate(mu)) for rho in qsupp)
-        tsupp = to_m_basis(plethysm_t_minus_one(mu, n))
+        tsupp = content_m_vec(sd, n, *plethystic_weights(False))
         tside &= all(dominance_leq(rho, mu) for rho in tsupp)
     return [
         (f"leading x1^n coefficient is 1 (n <= {n_max})", norm),
@@ -222,16 +223,19 @@ def suite_llt(
     beta_len: int = 8,
     seed: int = 94114,
 ) -> list[Check]:
-    """Ribbon descent classes, tuple transposition, the two-variable recursion."""
+    """Ribbon descent classes, tuple transposition, the two-variable recursion.
+    The descent classes are m-vectors, and so is their reassembly."""
     rng = random.Random(seed)
     ribbons = reassembly = True
     for mu in _all_partitions(n_max):
         n = sum(mu)
         ribbons &= check_ribbon_factorization(mu, n)
-        total = XPoly.zero(n)
-        for des, f_poly in descent_class_polys(mu, n).items():
-            total = total + f_poly.scaled(descent_class_weight(mu, des))
-        reassembly &= total == from_m_basis(macdonald(mu).m_vec, n)
+        total: dict[tuple[int, ...], QT] = {}
+        for des, m_vec in descent_class_polys(mu, n).items():
+            weight = descent_class_weight(mu, des)
+            for nu, c in m_vec.items():
+                total[nu] = total.get(nu, QT.zero()) + weight * c
+        reassembly &= {nu: c for nu, c in total.items() if c} == macdonald(mu).m_vec
     transpose = schur_form = True
     for _ in range(8):
         k = rng.randint(1, 3)
@@ -290,13 +294,14 @@ def suite_cocharge(n_max: int = 4, samples: int = 200, seed: int = 94114) -> lis
 
 def suite_jack(n_max: int = 3) -> list[Check]:
     """Integral form routes, and the one-parameter limit of the direct
-    integral form against the direct Jack sum, as polynomials in alpha."""
+    integral form against the direct Jack sum, as polynomials in alpha; both
+    compared as m-vectors."""
     routes = limits = True
     for mu in _all_partitions(n_max):
         n = sum(mu)
-        integral = integral_form_in_x(mu, n)
-        routes &= integral == integral_form_from_macdonald(mu, n)
-        alpha_limit = {nu: c.t_one_limit(n) for nu, c in to_m_basis(integral).items()}
+        integral = to_m_basis(integral_form_in_x(mu, n))
+        routes &= integral == integral_form_m_vec(mu, n)
+        alpha_limit = {nu: c.t_one_limit(n) for nu, c in integral.items()}
         limits &= alpha_limit == to_m_basis(jack_alpha_in_x(mu, n))
     return [
         (f"integral form: explicit product formula matches the signed route (n <= {n_max})", routes),

@@ -10,7 +10,8 @@ import pytest
 
 from macpoly import cli
 from macpoly.cli import main
-from macpoly.macdonald import descent_class_poly, descent_class_weight
+from macpoly.macdonald import descent_class_poly, descent_class_weight, macdonald
+from macpoly.symfunc import from_m_basis
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,20 @@ def test_hmu_vars_needs_the_x_basis(capsys, basis):
     out = capsys.readouterr()
     assert out.out == ""
     assert "--vars: only --basis x" in out.err
+
+
+def test_x_basis_json_is_unindented_and_under_twice_the_text(capsys):
+    argv = ["hmu", "--mu", "3,2,1", "--basis", "x", "--vars", "6"]
+    _, text, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "mu": [3, 2, 1],
+        "basis": "x",
+        "polynomial": from_m_basis(macdonald((3, 2, 1)).m_vec, 6).to_json(),
+    }
+    assert out.count("\n") == 1
+    assert len(out) < 2 * len(text)
 
 
 def test_hmu_json(capsys):
@@ -383,9 +398,9 @@ def test_jack_monomial_text(capsys):
 
 def test_jack_checks_the_variable_count_before_computing(capsys, monkeypatch):
     def refuse(*args):
-        raise AssertionError("jack_limit ran before the usage check")
+        raise AssertionError("jack_alpha_m_vec ran before the usage check")
 
-    monkeypatch.setattr(cli, "jack_limit", refuse)
+    monkeypatch.setattr(cli, "jack_alpha_m_vec", refuse)
     with pytest.raises(SystemExit) as exc:
         main(["jack", "--mu", "2,1", "--alpha", "1", "--vars", "2"])
     assert exc.value.code == 2
@@ -548,15 +563,18 @@ def test_console_script_runs():
 
 
 def test_closed_stdout_exits_one_without_a_traceback():
-    # like `| head -1`: the output (~600 kB) overflows the pipe, and the
-    # reader closes its end after the first line
+    # like `| head -c 1`: the output (~240 kB, one line) overflows the 64 kB
+    # pipe buffer, and the reader closes its end after the first byte
     proc = subprocess.Popen(
-        [sys.executable, "-m", "macpoly.cli", "hmu", "--mu", "3,2,1", "--basis", "x", "--format", "json"],
+        [
+            sys.executable, "-m", "macpoly.cli",
+            "hmu", "--mu", "3,2,1", "--basis", "x", "--vars", "7", "--format", "json",
+        ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=dict(os.environ),
     )
-    assert proc.stdout.readline().strip() == b"{"
+    assert proc.stdout.read(1) == b"{"
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()

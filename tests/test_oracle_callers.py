@@ -96,3 +96,26 @@ def test_no_subcommand_but_verify_reaches_a_brute_force_sum():
             todo.extend(refs.get(name, set()) - reached)
     assert "content_filling_sum" in reached
     assert reached.isdisjoint(BRUTE_FORCE)
+
+
+# the one place the command line writes an m-vector out in x, and the
+# exported x-basis writers of the library
+WRITE_OUTS = {
+    "cli._print_poly",
+    "llt.llt_poly",
+    "special.jack_limit",
+    "special.integral_form_from_macdonald",
+    "macdonald._signed_plethysm",
+    "symfunc.m_in_x",
+}
+
+
+def test_symmetric_functions_are_written_out_in_x_in_one_place():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        callers |= kernel_callers(path.stem, path.read_text(encoding="utf-8"), "from_m_basis")
+    assert callers == WRITE_OUTS
+    # verify compares m-vectors; only the two-variable recursion is in x
+    verify = (PACKAGE / "verify.py").read_text(encoding="utf-8")
+    assert not kernel_callers("verify", verify, "from_m_basis")
+    assert kernel_callers("verify", verify, "XPoly") == {"verify._beta_step_holds"}

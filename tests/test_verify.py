@@ -4,7 +4,7 @@ import pytest
 
 from macpoly import verify
 from macpoly.qtring import QT
-from macpoly.verify import SUITES, run_suite, suite_axioms
+from macpoly.verify import SUITES, run_suite, suite_axioms, suite_llt
 
 
 def test_registry_names():
@@ -58,3 +58,16 @@ def test_axioms_symmetry_runs_every_composition(monkeypatch):
     results = dict(suite_axioms(4))
     assert not results["filling sums are symmetric polynomials (n <= 4)"]
     assert all(ok for label, ok in results.items() if "symmetric" not in label)
+
+
+def test_llt_reassembly_catches_a_dropped_class(monkeypatch):
+    # the ribbon check reads llt's binding and still passes; the reassembly
+    # is short of the class with no descents
+    real = verify.descent_class_polys
+    monkeypatch.setattr(
+        verify, "descent_class_polys",
+        lambda mu, nvars: {d: v for d, v in real(mu, nvars).items() if d},
+    )
+    results = dict(suite_llt(3, samples=1))
+    assert not results["descent classes reassemble the filling sum (n <= 3)"]
+    assert all(ok for label, ok in results.items() if "reassemble" not in label)
