@@ -98,6 +98,17 @@ def _guard_terms(parser: argparse.ArgumentParser, n: int, nvars: int, forced: bo
         )
 
 
+def _nvars(parser: argparse.ArgumentParser, args, n: int) -> int:
+    """The number of variables --basis x is written out in: --vars, else n.
+    Only --basis x takes --vars, and its write-out is capped by _guard_terms."""
+    if args.vars is not None and args.basis != "x":
+        parser.error("argument --vars: only --basis x takes a number of variables")
+    nvars = args.vars or max(n, 1)
+    if args.basis == "x":
+        _guard_terms(parser, n, nvars, args.force_guard)
+    return nvars
+
+
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -163,12 +174,8 @@ def _print_poly(vec, n: int, basis: str, fmt: str, extra: dict, nvars: int | Non
 def _cmd_hmu(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
-    if args.vars is not None and args.basis != "x":
-        parser.error("argument --vars: only --basis x takes a number of variables")
     _guard(parser, n, WORD_GUARD if args.basis == "x" else SHAPE_GUARD, args.force_guard)
-    nvars = args.vars or max(n, 1)
-    if args.basis == "x":
-        _guard_terms(parser, n, nvars, args.force_guard)
+    nvars = _nvars(parser, args, n)
     res = macdonald(mu)
     vec = res.schur_vec if args.basis == "schur" else res.m_vec
     _print_poly(vec, n, args.basis, args.format, {"mu": list(mu)}, nvars)
@@ -307,14 +314,10 @@ def _cmd_llt(parser, args) -> int:
         shapes = ribbon_tuple(mu, descents)
     except ValueError as exc:
         parser.error(str(exc))
-    nvars = args.vars or max(n, 1)
+    nvars = _nvars(parser, args, n)
+    vec = llt_m_vec(shapes, nvars)
     if args.basis == "schur":
-        if nvars < n:
-            parser.error(f"Schur output needs at least {n} variables")
-        vec = m_to_schur(llt_m_vec(shapes, n))
-    else:
-        _guard_terms(parser, n, nvars, args.force_guard)
-        vec = llt_m_vec(shapes, nvars)
+        vec = m_to_schur(vec)
     _print_poly(vec, n, args.basis, args.format, {"mu": list(mu)}, nvars)
     return 0
 
@@ -325,11 +328,7 @@ def _cmd_jack(parser, args) -> int:
     _guard(parser, n, WORD_GUARD, args.force_guard)
     if args.alpha < 1:
         parser.error("alpha must be a positive integer")
-    nvars = args.vars or max(n, 1)
-    if args.basis == "m" and nvars < n:
-        parser.error(f"monomial output needs at least {n} variables")
-    if args.basis == "x":
-        _guard_terms(parser, n, nvars, args.force_guard)
+    nvars = _nvars(parser, args, n)
     vec = {nu: c.at_alpha(args.alpha) for nu, c in jack_alpha_m_vec(mu, nvars).items()}
     _print_poly(vec, n, args.basis, args.format, {"mu": list(mu), "alpha": args.alpha}, nvars)
     return 0
@@ -339,10 +338,7 @@ def _cmd_jmu(parser, args) -> int:
     mu = _parse_mu(parser, args.mu)
     n = sum(mu)
     _guard(parser, n, WORD_GUARD, args.force_guard)
-    nvars = args.vars or max(n, 1)
-    if nvars < n:
-        parser.error(f"monomial output needs at least {n} variables")
-    vec = integral_form_m_vec(mu, nvars)
+    vec = integral_form_m_vec(mu)
     _print_poly(vec, n, "m", args.format, {"mu": list(mu)})
     return 0
 
@@ -494,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_jack)
 
     p = sub.add_parser("jmu", help="two-parameter integral form, monomial basis")
-    common(p)
+    common(p, vars_flag=False)
     p.set_defaults(fn=_cmd_jmu)
 
     p = sub.add_parser("hall-littlewood", help="q = 0 Schur expansion")

@@ -269,14 +269,6 @@ def word_is_non_attacking(word, sd: ShapeData) -> bool:
     return all(a[p] != a[p2] for p, p2 in sd.attack_pairs)
 
 
-def is_non_attacking(filling: Filling) -> bool:
-    return word_is_non_attacking(filling.word, shape_data(filling.shape))
-
-
-def is_standard(filling: Filling) -> bool:
-    return sorted(filling.word) == list(range(1, len(filling.word) + 1))
-
-
 def standardize_word(word, order: LetterOrder = ORDER1) -> tuple[int, ...]:
     """Rank the entries of a word into 1..n in the order: ties between equal
     positive letters break left to right, between equal barred letters right
@@ -303,11 +295,6 @@ def standardize(filling: Filling, order: LetterOrder = ORDER1) -> Filling:
     """The unique standard filling compatible with the order and tie rules
     (those of standardize_word along the reading order)."""
     return Filling(filling.shape, standardize_word(filling.word, order))
-
-
-def inverse_descent_set(filling: Filling) -> frozenset[int]:
-    """For a standard filling: the i whose i+1 occurs earlier in reading order."""
-    return word_inverse_descent_set(filling.word)
 
 
 def cocharge_word(filling: Filling) -> tuple[int, ...]:

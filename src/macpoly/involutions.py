@@ -107,10 +107,6 @@ def word_is_row_bound_fixed(word, sd: ShapeData) -> bool:
     return all(abs(x) >= r for x, r in zip(word, sd.row))
 
 
-def is_row_bound_fixed(filling: Filling) -> bool:
-    return word_is_row_bound_fixed(filling.word, shape_data(filling.shape))
-
-
 def _signed_sums(
     mu: Partition, npos: int, nneg: int, order, q_side: bool, is_fixed, fixed=None
 ) -> tuple[XPoly, XPoly]:

@@ -44,7 +44,6 @@ from .shapes import (
     check_partition,
     reading_cells,
     ribbon_tuple,
-    skew_from_cells,
 )
 from .symfunc import XPoly, from_m_basis, m_to_schur, omega_schur
 
@@ -182,52 +181,9 @@ def llt_super_poly(
     return XPoly(npos + nneg, filling_sum(sd, xy_alphabet(npos, nneg), order, words))
 
 
-def standard_tuple_words(shapes: ShapeTuple) -> Iterator[tuple[int, ...]]:
-    """Bijective fillings by 1..n, strictly increasing along rows and columns
-    of every component; words aligned with the content reading order."""
-    td = tuple_data(tuple(shapes))
-    n = len(td.cells)
-    cell_pos = {pair: p for p, pair in enumerate(td.cells)}
-    word = [0] * n
-
-    def walk(value: int, used: set[int]) -> Iterator[tuple[int, ...]]:
-        if value > n:
-            yield tuple(word)
-            return
-        for p, (ci, (i, j)) in enumerate(td.cells):
-            if p in used:
-                continue
-            left = cell_pos.get((ci, (i, j - 1)))
-            below = cell_pos.get((ci, (i - 1, j)))
-            if (left is None or left in used) and (below is None or below in used):
-                word[p] = value
-                yield from walk(value + 1, used | {p})
-        return
-
-    yield from walk(1, set())
-
-
 def transpose_tuple(shapes: Iterable[SkewShape]) -> ShapeTuple:
     """Conjugate every shape and reverse the tuple order."""
     return tuple(s.transpose() for s in reversed(tuple(shapes)))
-
-
-def delete_two_cell_columns(shapes: Iterable[SkewShape]) -> tuple[ShapeTuple, int]:
-    """Remove every height-two column from each component (heights above two
-    are rejected); returns the reduced tuple and the number of columns removed."""
-    out = []
-    removed = 0
-    for shape in shapes:
-        heights: dict[int, int] = {}
-        for (_, j) in shape.cells():
-            heights[j] = heights.get(j, 0) + 1
-        if any(h > 2 for h in heights.values()):
-            raise ValueError("a column has more than two cells")
-        doubled = {j for j, h in heights.items() if h == 2}
-        removed += len(doubled)
-        kept = [c for c in shape.cells() if c[1] not in doubled]
-        out.append(skew_from_cells(kept))
-    return tuple(out), removed
 
 
 def check_ribbon_factorization(mu: Partition, nvars: int) -> bool:

@@ -39,10 +39,6 @@ def format_partition(mu: Partition) -> str:
     return ",".join(str(p) for p in mu)
 
 
-def size(mu: Partition) -> int:
-    return sum(mu)
-
-
 def conjugate(mu: Partition) -> Partition:
     """Transpose of the diagram: column lengths become row lengths."""
     if not mu:

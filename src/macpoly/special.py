@@ -237,26 +237,3 @@ def jack_limit(mu: Partition, nvars: int, alpha: int) -> XPoly:
     written out from jack_alpha_m_vec evaluated per nu."""
     vec = {nu: c.at_alpha(alpha) for nu, c in jack_alpha_m_vec(mu, nvars).items()}
     return from_m_basis(vec, nvars)
-
-
-# ---------------------------------------------------------------------------
-# absolute-value statistics on non-attacking signed fillings
-
-def absolute_inv(filling: Filling) -> int:
-    """Inversion triples whose three absolute values are distinct, plus the
-    bottom-row inversions, judged on absolute values."""
-    sd = shape_data(filling.shape)
-    w = [abs(x) for x in filling.word]
-    count = sum(1 for p, p2 in sd.bottom_pairs if w[p] > w[p2])
-    for pu, pv, pw in sd.triples:
-        x, y, z = w[pu], w[pv], w[pw]
-        if len({x, y, z}) == 3:
-            ind = (1 if x > z else 0) + (1 if z > y else 0) - (1 if x > y else 0)
-            if ind == 1:
-                count += 1
-    return count
-
-
-def absolute_maj(filling: Filling) -> int:
-    """Major index of the absolute-value filling."""
-    return word_statistics([abs(x) for x in filling.word], shape_data(filling.shape))[0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .fillings import ORDER1, LetterOrder, super_letters
 from .qtring import QT
 from .shapes import Partition, check_partition, conjugate, partitions
 
@@ -200,11 +199,6 @@ def _rearrangements(nu: Partition, nvars: int) -> tuple[Exponents, ...]:
         out.append(tuple(e))
 
 
-def m_in_x(rho: Partition, nvars: int) -> XPoly:
-    """The monomial symmetric function m_rho in nvars variables."""
-    return from_m_basis({check_partition(rho): QT.one()}, nvars)
-
-
 @lru_cache(maxsize=None)
 def _kostka(lam: Partition, content: Partition) -> int:
     if not content:
@@ -336,7 +330,7 @@ def schur_in_x(lam: Partition, nvars: int) -> XPoly:
 
 
 # ---------------------------------------------------------------------------
-# Gessel quasisymmetric functions and their signed refinement
+# Gessel quasisymmetric functions
 
 def _check_descents(n: int, descents: Iterable[int]) -> frozenset[int]:
     d = frozenset(int(i) for i in descents)
@@ -368,38 +362,3 @@ def qsym_q(n: int, descents: Iterable[int], nvars: int) -> XPoly:
     """Gessel's fundamental quasisymmetric function Q_{n,D}(x_1..x_nvars)."""
     return _qsym_q(n, _check_descents(n, descents), nvars)
 
-
-def qsym_q_super(
-    n: int,
-    descents: Iterable[int],
-    npos: int,
-    nneg: int,
-    order: LetterOrder = ORDER1,
-) -> XPoly:
-    """Signed analogue of Q_{n,D} over the alphabet {1..npos, -1..-nneg}.
-
-    Words weakly increase in the chosen letter order; equal adjacent plain
-    letters forbid a descent at that spot while equal adjacent barred letters
-    force one.
-    """
-    descents = _check_descents(n, descents)
-    letters = super_letters(npos, nneg, order)
-    acc: dict[Exponents, int] = {}
-
-    def walk(pos: int, last_idx: int, counts: tuple[int, ...]):
-        if pos == n:
-            acc[counts] = acc.get(counts, 0) + 1
-            return
-        for idx in range(last_idx, len(letters)):
-            v = letters[idx]
-            if pos >= 1 and idx == last_idx:
-                if v > 0 and pos in descents:
-                    continue
-                if v < 0 and pos not in descents:
-                    continue
-            c = list(counts)
-            c[v - 1 if v > 0 else npos - v - 1] += 1
-            walk(pos + 1, idx, tuple(c))
-
-    walk(0, 0, (0,) * (npos + nneg))
-    return XPoly(npos + nneg, {e: QT.term(c) for e, c in acc.items()})

@@ -22,16 +22,17 @@ from macpoly.fillings import (
     cocharge_word,
     descent_cells,
     inv,
-    is_non_attacking,
     maj,
+    shape_data,
     super_fillings,
+    word_is_non_attacking,
 )
 from macpoly.involutions import (
     attack_cancellation_holds,
     attack_involution,
-    is_row_bound_fixed,
     row_bound_cancellation_holds,
     row_bound_involution,
+    word_is_row_bound_fixed,
 )
 from macpoly.llt import (
     beta_recursion_parts,
@@ -136,7 +137,7 @@ def test_criterion_04_involutions(criterion):
         for f in super_fillings(mu, 3, 3):
             astep = attack_involution(f)
             ok &= attack_involution(astep.after).after == f
-            ok &= astep.is_fixed == is_non_attacking(f)
+            ok &= astep.is_fixed == word_is_non_attacking(f.word, shape_data(mu))
             if not astep.is_fixed:
                 g = astep.after
                 ok &= descent_cells(f, ORDER1) == descent_cells(g, ORDER1)
@@ -145,7 +146,7 @@ def test_criterion_04_involutions(criterion):
                 ok &= abs(_barred(f) - _barred(g)) == 1
             rstep = row_bound_involution(f)
             ok &= row_bound_involution(rstep.after).after == f
-            ok &= rstep.is_fixed == is_row_bound_fixed(f)
+            ok &= rstep.is_fixed == word_is_row_bound_fixed(f.word, shape_data(mu))
             if not rstep.is_fixed:
                 g = rstep.after
                 ok &= inv(f, ORDER2) == inv(g, ORDER2)

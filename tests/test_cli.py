@@ -44,7 +44,7 @@ def test_hmu_x_basis_with_vars(capsys):
     assert out.strip() == "x1^2 + (1 + t)*x1*x2 + x2^2"
 
 
-@pytest.mark.parametrize("command", ["hmu", "llt", "jack", "jmu"])
+@pytest.mark.parametrize("command", ["hmu", "llt", "jack"])
 @pytest.mark.parametrize("nvars", ["-1", "0"])
 def test_vars_below_one_is_a_usage_error(capsys, command, nvars):
     extra = {"hmu": ["--basis", "x"], "jack": ["--alpha", "1"]}.get(command, [])
@@ -56,14 +56,35 @@ def test_vars_below_one_is_a_usage_error(capsys, command, nvars):
     assert "--vars: must be at least 1" in out.err
 
 
-@pytest.mark.parametrize("basis", [[], ["--basis", "m"]])
+# each basis but x prints a vector that no number of variables changes
+@pytest.mark.parametrize(
+    "basis",
+    [
+        ["hmu"],
+        ["hmu", "--basis", "m"],
+        ["llt", "--basis", "schur"],
+        ["jack", "--alpha", "1", "--basis", "m"],
+    ],
+)
 def test_hmu_vars_needs_the_x_basis(capsys, basis):
+    command, *rest = basis
     with pytest.raises(SystemExit) as exc:
-        main(["hmu", "--mu", "2", "--vars", "1", *basis])
+        main([command, "--mu", "2", "--vars", "1", *rest])
     assert exc.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert "--vars: only --basis x" in out.err
+
+
+@pytest.mark.parametrize("nvars", ["-1", "0", "3"])
+def test_jmu_takes_no_vars(capsys, nvars):
+    # jmu prints only the m-vector, which no number of variables changes
+    with pytest.raises(SystemExit) as exc:
+        main(["jmu", "--mu", "2,1", "--vars", nvars])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "unrecognized arguments: --vars" in out.err
 
 
 def test_x_basis_json_is_unindented_and_under_twice_the_text(capsys):

@@ -14,22 +14,22 @@ from macpoly.fillings import (
     coded_statistics,
     descent_cells,
     inv,
-    is_non_attacking,
     letter_codes,
     maj,
     shape_data,
     super_fillings,
     super_letters,
+    word_is_non_attacking,
 )
 from macpoly.involutions import (
     attack_cancellation_holds,
     attack_involution,
     attack_pivot,
     flip,
-    is_row_bound_fixed,
     row_bound_cancellation_holds,
     row_bound_involution,
     row_bound_pivot,
+    word_is_row_bound_fixed,
 )
 from macpoly.shapes import attacks, partitions
 
@@ -58,7 +58,7 @@ def test_attack_involution_fixed_point():
     step = attack_involution(Filling((2,), (1, 2)))
     assert step.is_fixed
     assert step.after == step.before
-    assert is_non_attacking(step.before)
+    assert word_is_non_attacking(step.before.word, shape_data((2,)))
 
 
 def test_attack_involution_picks_the_smallest_value():
@@ -79,8 +79,9 @@ def test_row_bound_involution_on_a_column():
 
 
 def test_row_bound_fixed_points_bound_entries_by_row():
-    assert is_row_bound_fixed(Filling.from_rows([[-2], [1]]))
-    assert not is_row_bound_fixed(Filling.from_rows([[1], [2]]))
+    column = shape_data((1, 1))
+    assert word_is_row_bound_fixed(Filling.from_rows([[-2], [1]]).word, column)
+    assert not word_is_row_bound_fixed(Filling.from_rows([[1], [2]]).word, column)
     step = row_bound_involution(Filling.from_rows([[-2], [1]]))
     assert step.is_fixed
 
@@ -89,7 +90,7 @@ def test_attack_involution_is_an_involution_exhaustively():
     for mu in SHAPES:
         for f in super_fillings(mu, 2, 2, ORDER1):
             step = attack_involution(f)
-            assert step.is_fixed == is_non_attacking(f)
+            assert step.is_fixed == word_is_non_attacking(f.word, shape_data(mu))
             again = attack_involution(step.after)
             assert again.after == f
             if not step.is_fixed:
@@ -104,7 +105,7 @@ def test_row_bound_involution_is_an_involution_exhaustively():
     for mu in SHAPES:
         for f in super_fillings(mu, 2, 2, ORDER2):
             step = row_bound_involution(f)
-            assert step.is_fixed == is_row_bound_fixed(f)
+            assert step.is_fixed == word_is_row_bound_fixed(f.word, shape_data(mu))
             assert row_bound_involution(step.after).after == f
 
 

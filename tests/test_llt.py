@@ -14,7 +14,6 @@ from macpoly.fillings import (
     ORDER2,
     content_filling_sum,
     standardize_word,
-    word_inverse_descent_set,
 )
 from macpoly.llt import (
     beta_recursion_parts,
@@ -22,12 +21,10 @@ from macpoly.llt import (
     check_ribbon_factorization,
     check_transpose_identity,
     check_transpose_schur,
-    delete_two_cell_columns,
     llt_m_vec,
     llt_poly,
     llt_super_poly,
     skew_super_tableaux,
-    standard_tuple_words,
     tableau_inversions,
     transpose_tuple,
     tuple_data,
@@ -40,7 +37,6 @@ from macpoly.shapes import (
     reading_cells,
     ribbon_from_descents,
     ribbon_tuple,
-    skew_from_cells,
 )
 from macpoly.symfunc import XPoly, schur_expand, super_exponents, to_m_basis
 
@@ -83,13 +79,6 @@ def test_tableau_inversions_on_the_pair_of_cells():
     assert tableau_inversions((2, 1), td) == 1
     assert tableau_inversions((1, 2), td) == 0
     assert tableau_inversions((-1, -1), td, ORDER1) == 1
-
-
-def test_standard_tuple_words():
-    words = set(standard_tuple_words((CELL, CELL)))
-    assert words == {(1, 2), (2, 1)}
-    for w in standard_tuple_words((DOMINO_COL,)):
-        assert word_inverse_descent_set(w) == frozenset({1})
 
 
 def test_standardize_word_breaks_ties_by_sign():
@@ -199,15 +188,6 @@ def test_llt_symmetry_check_rejects_a_non_symmetric_expansion(monkeypatch):
 def test_transpose_tuple_reverses_and_conjugates():
     out = transpose_tuple((DOMINO_ROW, CELL))
     assert out == (CELL, DOMINO_COL)
-
-
-def test_delete_two_cell_columns():
-    shape = SkewShape((2, 2), (1,))
-    reduced, removed = delete_two_cell_columns((shape,))
-    assert removed == 1
-    assert reduced[0].cells() == ((2, 1),)
-    with pytest.raises(ValueError):
-        delete_two_cell_columns((SkewShape((1, 1, 1), ()),))
 
 
 def test_ribbon_factorization_small_shapes(monkeypatch):

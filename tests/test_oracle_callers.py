@@ -106,7 +106,6 @@ WRITE_OUTS = {
     "special.jack_limit",
     "special.integral_form_from_macdonald",
     "macdonald._signed_plethysm",
-    "symfunc.m_in_x",
 }
 
 

@@ -21,7 +21,6 @@ from macpoly.shapes import (
     ribbon_descents,
     ribbon_from_descents,
     ribbon_tuple,
-    size,
     skew_from_cells,
     weighted_size,
 )
@@ -45,7 +44,7 @@ def test_parse_and_format_round_trip():
 @given(partition_strategy)
 def test_conjugate_is_an_involution(mu):
     assert conjugate(conjugate(mu)) == mu
-    assert size(conjugate(mu)) == size(mu)
+    assert sum(conjugate(mu)) == sum(mu)
 
 
 def test_conjugate_examples():

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from macpoly.fillings import Filling, cocharge_word, inv, maj
 from macpoly.qtring import QT
 from macpoly.special import (
-    absolute_inv,
-    absolute_maj,
     cocharge,
     cocharge_schur_vector,
     eval_alpha,
@@ -196,12 +194,3 @@ def test_jack_limit_alpha_one_is_a_scaled_schur_function():
     f = jack_limit((2,), 2, 1)
     m = to_m_basis(f)
     assert m == {(2,): 2, (1, 1): 2}
-
-
-def test_absolute_statistics():
-    assert absolute_inv(Filling((2,), (2, 1))) == 1
-    assert absolute_inv(Filling((2,), (-2, 1))) == 1
-    assert absolute_inv(Filling((2,), (1, 2))) == 0
-    assert absolute_maj(Filling.from_rows([[2], [1]])) == 1
-    assert absolute_maj(Filling.from_rows([[-2], [1]])) == 1
-    assert absolute_maj(Filling.from_rows([[1], [2]])) == 0

@@ -6,19 +6,16 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from macpoly.fillings import ORDER1, ORDER2
 from macpoly.qtring import QT
 from macpoly.shapes import partitions
 from macpoly.symfunc import (
     XPoly,
     from_m_basis,
     kostka,
-    m_in_x,
     m_to_schur,
     monomial_exponents,
     omega_schur,
     qsym_q,
-    qsym_q_super,
     schur_expand,
     schur_in_x,
     ssyt_rows,
@@ -99,7 +96,7 @@ def test_syt_counts():
 
 
 def test_m_in_x_and_to_m_basis_round_trip():
-    f = m_in_x((2, 1), 3)
+    f = from_m_basis({(2, 1): QT.one()}, 3)
     assert f.coefficient((2, 1, 0)) == QT.term(1)
     assert f.coefficient((1, 2, 0)) == QT.term(1)
     assert len(f.terms) == 6
@@ -171,20 +168,6 @@ def test_qsym_q_small_cases():
 def test_qsym_q_sum_over_descents_gives_schur():
     total = qsym_q(3, [1], 3) + qsym_q(3, [2], 3)
     assert total == schur_in_x((2, 1), 3)
-
-
-def test_qsym_q_super_one_plain_one_barred():
-    f = qsym_q_super(2, [], 1, 1, ORDER1)
-    assert f == XPoly(2, {(2, 0): QT.term(1), (1, 1): QT.term(1)})
-    g = qsym_q_super(2, [1], 1, 1, ORDER1)
-    assert g == XPoly(2, {(1, 1): QT.term(1), (0, 2): QT.term(1)})
-    assert f + g == xp(2, e_20=1, e_11=2, e_02=1)
-
-
-def test_qsym_q_super_restricts_to_qsym_q():
-    for d in ([], [1], [2], [1, 2]):
-        full = qsym_q_super(3, d, 2, 1, ORDER2)
-        assert full.prefix_part(2) == qsym_q(3, d, 2)
 
 
 def test_xpoly_accepts_fraction_coefficients():
