@@ -10,7 +10,9 @@ ten single cells) and a table at n = 9 (about 7 s). hmu --basis x and llt
 run the DP over a signed alphabet; these are capped at 7 cells (under 1 s).
 The write-outs of hmu, llt and jack --basis x are also capped at 10,000
 monomials, the C(vars + n - 1, n) that --vars allows (under 1 s as text or
-JSON at 7 cells).
+JSON at 7 cells). The term guard counts monomials, not bytes, so it does
+not replace the 7-cell cap: hmu --mu 4,3,2,1 --basis x --vars 7 passes it
+with 8,008 monomials yet writes 7.9 MB in about 3 s.
 verify is capped at n = 6: its signed sums, descent classes and symmetry
 check go through the same DP, and its exponential costs are the jack direct
 sum (n^n words) and the signed words of the involution checks (verify jack

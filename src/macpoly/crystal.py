@@ -260,9 +260,9 @@ def check_unique_yamanouchi(length: int, alphabet: int) -> bool:
 def check_filling_operators(mu: Partition, max_entry: int) -> bool:
     """On a two-column shape: the adjusted operators pair with the word
     operators (defined together, mutually inverse), fix descents and
-    inversion pairs, and act by the word operator on the Knuth class. Equal
-    descents and equal inv (the inversion pairs less the arms of the
-    descents) mean equal inversion pairs."""
+    inversion pairs, and act by the word operator on the Knuth class (equal
+    words are not rectified). Equal descents and equal inv (the inversion
+    pairs less the arms of the descents) mean equal inversion pairs."""
     mu = check_partition(mu)
     sd, _ = _two_column_data(mu)
     for word in product(range(1, max_entry + 1), repeat=sum(mu)):
@@ -277,7 +277,7 @@ def check_filling_operators(mu: Partition, max_entry: int) -> bool:
                     return False
                 if word_statistics(up_f.word, sd) != word_statistics(word, sd):
                     return False
-                if rectify(up_f.word) != rectify(up_w):
+                if up_f.word != up_w and rectify(up_f.word) != rectify(up_w):
                     return False
             down_w = crystal_lower(word, i)
             down_f = filling_lower(f, i)
@@ -286,7 +286,7 @@ def check_filling_operators(mu: Partition, max_entry: int) -> bool:
             if down_f is not None:
                 if filling_raise(down_f, i) != f:
                     return False
-                if rectify(down_f.word) != rectify(down_w):
+                if down_f.word != down_w and rectify(down_f.word) != rectify(down_w):
                     return False
     return True
 

@@ -143,9 +143,6 @@ class Filling:
             k += self.shape[i - 1]
         return out
 
-    def entry(self, cell: Cell) -> int:
-        return self.word[shape_data(self.shape).pos[cell]]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Filling):
             return NotImplemented

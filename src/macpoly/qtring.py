@@ -122,9 +122,6 @@ class QT:
             n >>= 1
         return out
 
-    def coefficient(self, q_exp: int, t_exp: int) -> int:
-        return self.terms.get((q_exp, t_exp), 0)
-
     def swap_qt(self) -> QT:
         """Exchange the roles of q and t."""
         return QT({(b, a): c for (a, b), c in self.terms.items()})

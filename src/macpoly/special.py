@@ -2,20 +2,22 @@
 
 The q = 0 face of the two-parameter family is computed along two independent
 routes (killing q in the Schur table, and summing t^cocharge over tableaux)
-that must agree. The Jack side realizes the integral form both directly as a
-weighted sum over non-attacking fillings of the conjugate diagram (the
-oracle) and through the signed-alphabet plethysm of the modified polynomial,
-whose signed sum the content DP computes (integral_form_m_vec, behind jmu).
-The one-parameter family is the t -> 1 limit of the latter at q = t^alpha,
-divided exactly by (1 - t)^n, taken once per nu as a polynomial in alpha
-(jack_alpha_m_vec, behind jack); its coefficients are QT values in q alone,
-with q standing for alpha. Its direct sum, over the same fillings with
-another weight per cell, is the oracle for that limit.
+that must agree; cocharge is one sweep over a word's standard subwords, with
+each letter's positions in an ascending list searched by bisection. The Jack
+side realizes the integral form both directly as a weighted sum over
+non-attacking fillings of the conjugate diagram (the oracle) and through the
+signed-alphabet plethysm of the modified polynomial, whose signed sum the
+content DP computes (integral_form_m_vec, behind jmu). The one-parameter
+family is the t -> 1 limit of the latter at q = t^alpha, divided exactly by
+(1 - t)^n, taken once per nu as a polynomial in alpha (jack_alpha_m_vec,
+behind jack); its coefficients are QT values in q alone, with q standing for
+alpha. Its direct sum, over the same fillings with another weight per cell,
+is the oracle for that limit.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -32,45 +34,36 @@ from .symfunc import (
 )
 
 
-def _split_cocharge(word: Sequence[int]) -> int:
-    """Cocharge of a word whose letters form a permutation of 1..n: the sum
-    of n - k over the letters k whose successor k+1 occurs further left."""
-    n = len(word)
-    where = {x: p for p, x in enumerate(word)}
-    return sum(n - k for k in range(1, n) if where[k + 1] < where[k])
-
-
 def cocharge(word: Iterable[int]) -> int:
     """Lascoux-Schutzenberger cocharge of a word with partition content.
 
-    The standard subword through each copy of 1 is extracted by scanning
-    leftward (cyclically) for the next larger letter; cocharge adds up over
-    the extracted subwords.
+    One sweep over the standard subwords, with each letter's positions kept
+    in an ascending list: a subword starts at the rightmost unused 1 and
+    takes, for each next letter, its nearest unused copy to the left,
+    wrapping to the rightmost copy when none is left of it. A subword on the
+    letters 1..m adds m - k for every k whose k + 1 lay to its left.
     """
-    word = tuple(int(x) for x in word)
-    if not word:
-        return 0
-    counts = Counter(word)
-    content = tuple(counts[k] for k in sorted(counts))
-    if sorted(counts) != list(range(1, len(counts) + 1)) or any(
-        counts[k] < counts[k + 1] for k in range(1, len(counts))
+    where: dict[int, list[int]] = {}
+    for p, x in enumerate(word):
+        where.setdefault(int(x), []).append(p)
+    top = len(where)
+    if sorted(where) != list(range(1, top + 1)) or any(
+        len(where[k]) < len(where[k + 1]) for k in range(1, top)
     ):
-        raise ValueError(f"word content must be a partition: {dict(counts)}")
-    if content and all(c == 1 for c in content):
-        return _split_cocharge(word)
-    # peel off the standard subword through the rightmost 1
-    top = len(counts)
-    positions = []
-    k = max(p for p, x in enumerate(word) if x == 1)
-    positions.append(k)
-    for letter in range(2, top + 1):
-        earlier = [p for p, x in enumerate(word) if x == letter and p < k]
-        k = max(earlier) if earlier else max(p for p, x in enumerate(word) if x == letter)
-        positions.append(k)
-    taken = set(positions)
-    subword = tuple(word[p] for p in sorted(taken))
-    rest = tuple(x for p, x in enumerate(word) if p not in taken)
-    return _split_cocharge(subword) + cocharge(rest)
+        content = {k: len(v) for k, v in where.items()}
+        raise ValueError(f"word content must be a partition: {content}")
+    total = 0
+    while top:
+        p = where[1].pop()
+        for k in range(1, top):
+            copies = where[k + 1]
+            i = bisect_left(copies, p)
+            if i:
+                total += top - k
+            p = copies.pop(i - 1)  # i = 0 pops the rightmost copy
+        while top and not where[top]:
+            top -= 1
+    return total
 
 
 def inv_zero_filling(mu: Partition, row_multisets: Sequence[Iterable[int]]) -> Filling:
@@ -93,14 +86,10 @@ def inv_zero_filling(mu: Partition, row_multisets: Sequence[Iterable[int]]) -> F
         if i == 0:
             rows_bottom_up.append(bag)
             continue
-        remaining = list(bag)
         row = []
-        for j in range(mu[i]):
-            below = rows_bottom_up[i - 1][j]
-            above = [x for x in remaining if x > below]
-            pick = min(above) if above else min(remaining)
-            remaining.remove(pick)
-            row.append(pick)
+        for below in rows_bottom_up[i - 1][: mu[i]]:
+            j = bisect_right(bag, below)  # past the end wraps to the smallest
+            row.append(bag.pop(j % len(bag)))
         rows_bottom_up.append(row)
     return Filling.from_rows(list(reversed(rows_bottom_up)))
 

@@ -35,9 +35,6 @@ class XPoly:
     def zero(cls, nvars: int) -> XPoly:
         return cls(nvars)
 
-    def coefficient(self, exps: Exponents):
-        return self.terms.get(tuple(exps), 0)
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

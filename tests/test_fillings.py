@@ -70,8 +70,8 @@ def test_indicator_signed_letters():
 def test_reading_word_runs_top_down():
     assert EXAMPLE.word == (6, 2, 2, 4, 8, 4, 4, 1, 3)
     assert EXAMPLE.shape == (4, 3, 2)
-    assert EXAMPLE.entry((3, 1)) == 6
-    assert EXAMPLE.entry((1, 4)) == 3
+    assert EXAMPLE.word[shape_data(EXAMPLE.shape).pos[(3, 1)]] == 6
+    assert EXAMPLE.word[shape_data(EXAMPLE.shape).pos[(1, 4)]] == 3
     assert EXAMPLE.rows() == [[6, 2], [2, 4, 8], [4, 4, 1, 3]]
 
 

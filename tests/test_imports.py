@@ -1,6 +1,8 @@
 """Every name a library module imports is used in that module, and every
-top-level function and class of the library is used, exported, wrapped by the
-benchmark's tracing shim, or kept as a named test oracle.
+top-level function and class of the library, and every public method of a
+top-level class, is used, exported, wrapped by the benchmark's tracing shim,
+or kept as a named test oracle. A method counts as used where its name is an
+attribute outside its own body; exporting a class does not keep its methods.
 
 No linter ships with the project, so this scans the source with `ast`: a name
 bound by an import counts as used when it appears as a name anywhere in the
@@ -9,6 +11,7 @@ module (annotations included) or is listed in the module's __all__.
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,9 @@ ORACLES = {
     "symfunc.qsym_q": "Gessel's Q_{n,D}, the oracle of the F expansion of the standard filling sum",
     "symfunc.super_exponents": "exponents of a signed word, used by the naive signed sums in tests",
     "special.eval_alpha": "evaluates Jack coefficients at an integer alpha; the README documents it",
+    "symfunc.XPoly.prefix_part": "the restriction to fewer variables that llt_super_poly's docstring promises",
+    "shapes.SkewShape.is_ribbon": "the ribbon oracle the ribbon constructions are tested against",
+    "involutions.InvolutionStep.is_fixed": "part of the result the exported involutions return",
 }
 
 
@@ -66,22 +72,50 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
+
+
+def definitions(module: str, tree: ast.Module):
+    """(qualified name, node, whether a bare name counts as a use) for every
+    top-level function and class and every public method of a top-level class."""
+    for top in tree.body:
+        if isinstance(top, DEFINITIONS):
+            yield f"{module}.{top.name}", top, True
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, FUNCTIONS) and not node.name.startswith("_"):
+                    yield f"{module}.{top.name}.{node.name}", node, False
+
+
+def uses(node: ast.AST, name: str, as_name: bool) -> int:
+    """Occurrences of name inside node: as an attribute, and also as a bare
+    name when as_name is set."""
+    return sum(
+        (isinstance(n, ast.Attribute) and n.attr == name)
+        or (as_name and isinstance(n, ast.Name) and n.id == name)
+        for n in ast.walk(node)
+    )
 
 
 def unreferenced(sources: dict[str, str]) -> list[str]:
-    """The top-level functions and classes, as module.name, whose name appears
-    in no module outside their own definition (imports do not count)."""
-    defined, referenced = [], set()
+    """The top-level functions and classes, as module.name, and the public
+    methods of top-level classes, as module.Class.method, whose name appears
+    in no module outside their own definition (imports do not count, and a
+    method counts only where its name is an attribute)."""
+    names, attributes, defined = Counter(), Counter(), []
     for module, source in sources.items():
-        for top in ast.parse(source).body:
-            own = top.name if isinstance(top, DEFINITIONS) else None
-            if own:
-                defined.append(f"{module}.{own}")
-            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
-            referenced |= names - {own}
-    return sorted(name for name in defined if name.split(".")[1] not in referenced)
+        tree = ast.parse(source)
+        names.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
+        attributes.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+        defined += definitions(module, tree)
+    unused = []
+    for qualified, node, as_name in defined:
+        name = qualified.rsplit(".", 1)[1]
+        total = attributes[name] + (names[name] if as_name else 0)
+        if total == uses(node, name, as_name):
+            unused.append(qualified)
+    return sorted(unused)
 
 
 def test_the_scan_finds_an_unreferenced_function():
@@ -90,6 +124,21 @@ def test_the_scan_finds_an_unreferenced_function():
         "b": "from .a import used\n\nclass Kept:\n    x = used()\n",
     }
     assert unreferenced(sources) == ["a.unused", "b.Kept"]
+
+
+def test_the_scan_finds_an_unreferenced_method():
+    # size is called from another method and a function; grow only calls
+    # itself; total appears elsewhere only as a bare name; _hidden is private
+    source = (
+        "class Box:\n"
+        "    def size(self):\n        return 1\n"
+        "    def grow(self, n):\n        return self.grow(n - 1) if n else self.size()\n"
+        "    def total(self):\n        return 0\n"
+        "    def _hidden(self):\n        return 0\n\n"
+        "def main(total=0):\n    return Box().size() + total\n\n"
+        "main()\n"
+    )
+    assert unreferenced({"a": source}) == ["a.Box.grow", "a.Box.total"]
 
 
 def shim_wraps() -> list:
@@ -101,7 +150,8 @@ def shim_wraps() -> list:
 
 
 def test_every_top_level_name_is_used_exported_wrapped_or_an_oracle():
-    kept = set(macpoly.__all__) | {attribute.split(".")[0] for _, attribute, _, _ in shim_wraps()}
+    # an exported class keeps its own name, not its methods
+    kept = set(macpoly.__all__) | {attribute for _, attribute, _, _ in shim_wraps()}
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
-    unused = [name for name in unreferenced(sources) if name.split(".")[1] not in kept]
+    unused = [name for name in unreferenced(sources) if name.split(".", 1)[1] not in kept]
     assert unused == sorted(ORACLES)

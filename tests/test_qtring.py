@@ -61,9 +61,9 @@ def test_integer_coercion():
 
 def test_coefficient_lookup_and_sum():
     f = QT.term(2, 1, 0) + QT.term(-1, 0, 3)
-    assert f.coefficient(1, 0) == 2
-    assert f.coefficient(0, 3) == -1
-    assert f.coefficient(5, 5) == 0
+    assert f.terms.get((1, 0), 0) == 2
+    assert f.terms.get((0, 3), 0) == -1
+    assert f.terms.get((5, 5), 0) == 0
     assert f.sum_of_coefficients() == 1
 
 

@@ -1,9 +1,12 @@
 """Cocharge, the q = 0 face, and the Jack integral-form family."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from macpoly.crystal import rectify
 from macpoly.fillings import Filling, cocharge_word, inv, maj
 from macpoly.qtring import QT
 from macpoly.special import (
@@ -47,6 +50,22 @@ def test_cocharge_rejects_non_partition_content():
         cocharge((1, 3))
 
 
+SHAPES_TO_6 = [mu for n in range(1, 7) for mu in partitions(n)]
+
+
+def shape_id(mu):
+    return ",".join(map(str, mu))
+
+
+@pytest.mark.parametrize("mu", SHAPES_TO_6, ids=shape_id)
+def test_cocharge_is_constant_on_knuth_classes(mu):
+    # with the tableau words, which the Hall-Littlewood check below pins,
+    # Knuth invariance pins cocharge on every word
+    letters = [k for k, c in enumerate(mu, 1) for _ in range(c)]
+    for word in set(permutations(letters)):
+        assert cocharge(word) == cocharge(rectify(word)), word
+
+
 def test_inv_zero_filling_reconstructs_the_example():
     f = inv_zero_filling(
         (5, 5, 3, 1), [[1, 1, 3, 6, 7], [1, 2, 4, 4, 5], [1, 2, 3], [2]]
@@ -87,6 +106,12 @@ def test_hall_littlewood_both_routes_agree_up_to_four():
             hall_littlewood_schur(mu)
 
 
+@pytest.mark.parametrize("mu", SHAPES_TO_6, ids=shape_id)
+def test_hall_littlewood_both_routes_agree_up_to_six(mu):
+    # raises when the cocharge sum and the q = 0 Schur column disagree
+    assert hall_littlewood_schur(mu)
+
+
 def test_integral_form_row_of_two():
     one, q, t = QT.one(), QT.q(), QT.t()
     m = integral_form_m_vec((2,))
@@ -109,10 +134,6 @@ def test_integral_form_routes_agree():
 
 
 SHAPES_TO_5 = [mu for n in range(1, 6) for mu in partitions(n)]
-
-
-def shape_id(mu):
-    return ",".join(map(str, mu))
 
 
 @pytest.mark.parametrize("mu", SHAPES_TO_5, ids=shape_id)
