@@ -4,8 +4,8 @@ The word operators use the usual bracket matching: scanning left to right,
 each letter i+1 opens a bracket that the next free letter i closes; raising
 turns the first unmatched i+1 into i, lowering turns the last unmatched i
 into i+1. On fillings of two-column shapes the same moves are corrected
-inside the attack zone (the suffix of the reading order in which consecutive
-cells attack) so that descents and inversions survive.
+inside the attack zone (the two-cell rows, in which each cell attacks the
+next) so that descents and inversions survive.
 """
 
 from __future__ import annotations
@@ -135,21 +135,13 @@ def rectify(word: Iterable[int]) -> Word:
 
 @lru_cache(maxsize=None)
 def _two_column_data(mu: Partition):
+    """The shape data of mu and k0, where its attack zone starts: the
+    one-cell rows come first in reading order and no two of their cells
+    attack, and from k0 on each cell attacks the next and no other."""
     if mu and mu[0] > 2:
         raise ValueError(f"filling operators require at most two columns: {mu}")
     sd = shape_data(mu)
-    n = len(sd.cells)
-    pairs = set(sd.attack_pairs)
-    k0 = n - 1
-    for p in range(n - 2, -1, -1):
-        if (p, p + 1) in pairs:
-            k0 = p
-        else:
-            break
-    expected = tuple((p, p + 1) for p in range(k0, n - 1))
-    if sd.attack_pairs != expected:
-        raise RuntimeError(f"attack pairs of {mu} are not a reading-order suffix")
-    return sd, k0
+    return sd, min(mu.count(1), len(sd.cells) - 1)
 
 
 def filling_raise(filling: Filling, i: int) -> Filling | None:

@@ -214,60 +214,32 @@ class SkewShape:
         return seen == cells
 
 
-def skew_from_cells(cells: Iterable[Cell]) -> SkewShape:
-    """Reconstruct the anchored skew shape whose cell set is exactly `cells`.
-
-    Rows must be contiguous runs; empty rows below occupied ones get padded
-    with equal outer/inner parts so coordinates (hence contents) survive.
-    """
-    cell_set = set(cells)
-    if not cell_set:
-        return SkewShape((), ())
-    rows: dict[int, list[int]] = {}
-    for (i, j) in cell_set:
-        rows.setdefault(i, []).append(j)
-    top = max(rows)
-    outer_rev: list[int] = []
-    inner_rev: list[int] = []
-    for i in range(top, 0, -1):
-        if i in rows:
-            cols = sorted(rows[i])
-            if cols != list(range(cols[0], cols[-1] + 1)):
-                raise ValueError(f"row {i} of the cell set is not contiguous")
-            outer_rev.append(cols[-1])
-            inner_rev.append(cols[0] - 1)
-        else:
-            pad = outer_rev[-1] if outer_rev else 0
-            outer_rev.append(pad)
-            inner_rev.append(pad)
-    shape = SkewShape(tuple(reversed(outer_rev)), tuple(reversed(inner_rev)))
-    if set(shape.cells()) != cell_set:
-        raise ValueError("cell set is not a skew shape")
-    return shape
-
-
 def ribbon_from_descents(length: int, descents: Iterable[int]) -> SkewShape:
     """The ribbon with cells of content 1..length whose descent set is given.
 
     Walking from the lower-right cell (content 1), the cell of content c+1
     sits above the cell of content c when c+1 is a descent and to its left
-    otherwise. The lower-right cell is placed so the leftmost column is 1.
+    otherwise: each row holds the contents from one descent to the next,
+    right to left. The lower-right cell is placed so the leftmost column is
+    1, and the empty rows below it keep outer = inner so contents survive.
     """
     descents = set(descents)
+    if length < 0:
+        raise ValueError(f"ribbon length must be nonnegative: {length}")
     if not descents <= set(range(2, length + 1)):
         raise ValueError(f"descents must lie in 2..{length}: {sorted(descents)}")
     if length == 0:
         return SkewShape((), ())
-    lefts = sum(1 for c in range(2, length + 1) if c not in descents)
-    i, j = lefts + 2, lefts + 1
-    cells = [(i, j)]
-    for c in range(2, length + 1):
-        if c in descents:
-            i += 1
-        else:
-            j -= 1
-        cells.append((i, j))
-    return skew_from_cells(cells)
+    lefts = length - 1 - len(descents)
+    outer = [lefts + 1] * (lefts + 1)
+    inner = list(outer)
+    right, low = lefts + 1, 1
+    for high in sorted(descents) + [length + 1]:
+        # this row holds the contents low..high-1
+        outer.append(right)
+        inner.append(right - (high - low))
+        right, low = inner[-1] + 1, high
+    return SkewShape(tuple(outer), tuple(inner))
 
 
 def ribbon_descents(shape: SkewShape) -> frozenset[int]:

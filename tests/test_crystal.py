@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from macpoly.crystal import (
+    _two_column_data,
     check_fiber_sizes,
     check_filling_operators,
     check_recording_preserved,
@@ -21,7 +22,7 @@ from macpoly.crystal import (
     word_content,
     yamanouchi_words,
 )
-from macpoly.fillings import Filling, inv, maj
+from macpoly.fillings import Filling, inv, maj, shape_data
 from macpoly.macdonald import macdonald
 from macpoly.qtring import QT
 from macpoly.shapes import partitions
@@ -119,6 +120,20 @@ def test_filling_raise_corrects_inside_the_attack_zone():
     # the raw word operator would flip position 1 instead
     assert crystal_raise(f.word, 1) == (1, 1, 2, 1)
     assert rectify(up.word) == rectify((1, 1, 2, 1))
+
+
+def test_attack_zone_is_every_cell_after_the_one_cell_rows():
+    # the closed form for k0 rests on this: the attack pairs of a shape with
+    # parts <= 2 are exactly the consecutive pairs from k0 on
+    shapes = 0
+    for n in range(11):
+        for mu in partitions(n):
+            if mu and mu[0] > 2:
+                continue
+            _, k0 = _two_column_data(mu)
+            assert shape_data(mu).attack_pairs == tuple((p, p + 1) for p in range(k0, n - 1))
+            shapes += 1
+    assert shapes == 36
 
 
 def test_filling_operators_reject_wide_shapes():

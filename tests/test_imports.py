@@ -155,3 +155,23 @@ def test_every_top_level_name_is_used_exported_wrapped_or_an_oracle():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
     unused = [name for name in unreferenced(sources) if name.split(".", 1)[1] not in kept]
     assert unused == sorted(ORACLES)
+
+
+# pyproject.toml declares requires-python >= 3.10; this checks the grammar of
+# every source file against 3.10, not which library calls 3.10 provides
+MINIMUM_PYTHON = (3, 10)
+ALL_SOURCES = sorted(
+    path for folder in ("src/macpoly", "tests", "perfbench") for path in (ROOT / folder).rglob("*.py")
+)
+
+
+def test_the_grammar_check_rejects_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=MINIMUM_PYTHON)
+
+
+def test_every_source_file_parses_as_the_minimum_python():
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert len(ALL_SOURCES) > len(SOURCES)
+    for path in ALL_SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=MINIMUM_PYTHON)

@@ -1,5 +1,7 @@
 """Partitions, cells, attack relation, skew shapes and ribbons."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +23,6 @@ from macpoly.shapes import (
     ribbon_descents,
     ribbon_from_descents,
     ribbon_tuple,
-    skew_from_cells,
     weighted_size,
 )
 
@@ -160,21 +161,6 @@ def test_ribbon_detection():
     assert SkewShape((3, 1), (1,)).is_ribbon() is False
 
 
-def test_skew_from_cells_round_trip():
-    s = SkewShape((3, 3, 2), (2, 1))
-    assert skew_from_cells(s.cells()) == s
-    assert skew_from_cells([]) == SkewShape(())
-    with pytest.raises(ValueError):
-        skew_from_cells([(1, 1), (1, 3)])
-
-
-def test_skew_from_cells_pads_empty_rows():
-    s = skew_from_cells([(3, 2), (3, 3)])
-    assert s.outer == (3, 3, 3)
-    assert s.inner == (3, 3, 1)
-    assert s.cells() == ((3, 2), (3, 3))
-
-
 def test_ribbon_from_descents_single_row_and_column():
     row = ribbon_from_descents(3, set())
     assert row.cells() == ((4, 1), (4, 2), (4, 3))
@@ -195,13 +181,31 @@ def test_ribbon_from_descents_matches_contents_and_descents():
     assert [SkewShape.content(c) for c in shape.cells()] == [7, 6, 5, 4, 3, 2, 1]
 
 
-@given(st.integers(min_value=1, max_value=7), st.sets(st.integers(min_value=2, max_value=7)))
-def test_ribbon_descents_round_trip(length, descents):
-    descents = {d for d in descents if d <= length}
-    shape = ribbon_from_descents(length, descents)
-    assert shape.is_ribbon()
-    assert shape.size() == length
-    assert ribbon_descents(shape) == frozenset(descents)
+def test_ribbon_from_descents_rejects_bad_input():
+    with pytest.raises(ValueError):
+        ribbon_from_descents(-1, set())
+    with pytest.raises(ValueError):
+        ribbon_from_descents(-3, [])
+    with pytest.raises(ValueError):
+        ribbon_from_descents(3, {1})
+    with pytest.raises(ValueError):
+        ribbon_from_descents(3, {4})
+
+
+def test_ribbon_descents_round_trip():
+    count = 0
+    for length in range(1, 9):
+        for k in range(length):
+            for descents in combinations(range(2, length + 1), k):
+                shape = ribbon_from_descents(length, descents)
+                cells = shape.cells()
+                assert shape.is_ribbon()
+                assert shape.size() == length
+                assert [SkewShape.content(c) for c in cells] == list(range(length, 0, -1))
+                assert min(j for _, j in cells) == 1
+                assert ribbon_descents(shape) == frozenset(descents)
+                count += 1
+    assert count == 255
 
 
 def test_ribbon_tuple_one_ribbon_per_column():

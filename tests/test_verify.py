@@ -1,5 +1,7 @@
 """The named verification suites and their registry."""
 
+import functools
+
 import pytest
 
 from macpoly import verify
@@ -38,6 +40,25 @@ def test_run_suite_drops_irrelevant_bounds():
     # the jack suite accepts only n_max; the rest must be filtered out
     results = run_suite("jack", n_max=2, samples=5, seed=1, word_len=9)
     assert all(ok for _, ok in results)
+
+
+def traced(suite):
+    # what the benchmark's tracing shim puts in SUITES in place of a suite
+    @functools.wraps(suite)
+    def call(*args, **kwargs):
+        return suite(*args, **kwargs)
+
+    return call
+
+
+def test_bounds_see_through_a_wrapped_suite(monkeypatch):
+    bounds = dict(n_max=2, samples=3, seed=5, alphabet=2, word_len=3, beta_len=4)
+    plain = {name: (verify.suite_bounds(name), run_suite(name, **bounds)) for name in SUITES}
+    for name, suite in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, traced(suite))
+    assert all(hasattr(suite, "__wrapped__") for suite in SUITES.values())
+    wrapped = {name: (verify.suite_bounds(name), run_suite(name, **bounds)) for name in SUITES}
+    assert wrapped == plain
 
 
 def test_run_suite_rejects_unknown_names():
