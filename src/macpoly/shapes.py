@@ -32,7 +32,13 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text:
         return ()
-    return check_partition(int(p) for p in text.split(","))
+    parts = []
+    for part in text.split(","):
+        try:
+            parts.append(int(part))
+        except ValueError:
+            raise ValueError(f"part {part.strip()!r} of partition {text!r} is not an integer") from None
+    return check_partition(parts)
 
 
 def format_partition(mu: Partition) -> str:

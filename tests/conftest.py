@@ -1,5 +1,7 @@
 """Shared fixtures: one-line reporting for the acceptance criteria."""
 
+from collections.abc import Sequence
+
 import pytest
 
 CRITERION_LINES: list[str] = []
@@ -15,11 +17,12 @@ def criterion():
         ok: bool,
         elapsed: float,
         budget: float | None = None,
+        failed: Sequence[str] = (),
     ) -> None:
         line = f"[{'PASS' if ok else 'FAIL'}] criterion {number}: {description} ({elapsed:.2f}s)"
         CRITERION_LINES.append(line)
         print(line)
-        assert ok, line
+        assert ok, "\n".join([line, *(f"failed check: {label}" for label in failed)])
         if budget is not None:
             assert elapsed < budget, (
                 f"criterion {number} took {elapsed:.2f}s, over the {budget:.0f}s budget"

@@ -3,23 +3,27 @@
 Each test covers one numbered criterion, records a single pass/fail line
 (echoed in the terminal summary), and compares everything exactly; the only
 tolerances are the wall-clock budgets on the two largest sweeps.
+
+Criteria 5, 6, 7, 9 and 10 run the suites behind `macpoly verify`, so each
+of their identities has one implementation: llt at n <= 5 with 200 recursions
+of length <= 10, axioms at n <= 6 and at n <= 5, cocharge at n <= 5 with 1000
+samples, crystal at n <= 6 with words of length <= 7 over 4 letters. Such a
+criterion passes only when every check its suite returns passes, and its
+failure names each failing check. Criteria 1-4 and 8 keep their own loops for
+routes no suite takes: the brute-force `macdonald_in_x` (1, 2), the exported
+`plethysm_q_minus_one` and `plethysm_t_minus_one` (3), the `Filling`-level
+involutions (4), and the x-basis writers of the integral form and of Jack (8).
 """
 
-import random
+import sys
 import time
-from fractions import Fraction
 
-from macpoly.crystal import (
-    check_filling_operators,
-    check_recording_preserved,
-    check_unique_yamanouchi,
-    check_word_axioms,
-    two_column_kostka,
-)
+import pytest
+
+from macpoly import verify
 from macpoly.fillings import (
     ORDER1,
     ORDER2,
-    cocharge_word,
     descent_cells,
     inv,
     maj,
@@ -34,41 +38,21 @@ from macpoly.involutions import (
     row_bound_involution,
     word_is_row_bound_fixed,
 )
-from macpoly.llt import (
-    beta_recursion_parts,
-    binary_inversion_poly,
-    check_ribbon_factorization,
-    check_transpose_identity,
-    check_transpose_schur,
-)
 from macpoly.macdonald import (
-    check_conjugate_duality,
-    hook_schur_coeff,
-    macdonald,
     macdonald_in_x,
-    one_minus_u_coeffs,
     plethysm_q_minus_one,
     plethysm_t_minus_one,
 )
-from macpoly.qtring import QT, elementary_coeffs
-from macpoly.shapes import (
-    cell_biexponents,
-    conjugate,
-    dominance_leq,
-    partitions,
-    ribbon_from_descents,
-)
+from macpoly.qtring import QT
+from macpoly.shapes import conjugate, dominance_leq, partitions
 from macpoly.special import (
-    cocharge,
     eval_alpha,
-    hall_littlewood_schur,
     integral_form_from_macdonald,
     integral_form_in_x,
-    inv_zero_filling,
     jack_alpha_in_x,
     jack_limit,
 )
-from macpoly.symfunc import XPoly, syt_count, to_m_basis
+from macpoly.symfunc import to_m_basis
 
 SEED = 94114
 
@@ -76,6 +60,14 @@ SEED = 94114
 def shapes_up_to(n_max: int):
     for n in range(1, n_max + 1):
         yield from partitions(n)
+
+
+def suite_criterion(criterion, number: int, description: str, suite, **bounds) -> None:
+    """Report criterion `number` as passed only when every check that
+    `suite(**bounds)` returns passes; a failure names each failing check."""
+    start = time.perf_counter()
+    failed = [label for label, passed in suite(**bounds) if not passed]
+    criterion(number, description, not failed, time.perf_counter() - start, failed=failed)
 
 
 def test_criterion_01_normalization(criterion):
@@ -162,88 +154,27 @@ def test_criterion_04_involutions(criterion):
     )
 
 
-def _random_betas(rng: random.Random, length: int) -> tuple[Fraction, ...]:
-    values: set[Fraction] = set()
-    while len(values) < length:
-        values.add(Fraction(rng.randint(-24, 24), rng.randint(1, 6)))
-    return tuple(sorted(values))
-
-
-def _beta_step_holds(betas: tuple[Fraction, ...]) -> bool:
-    g = binary_inversion_poly(betas)
-    parts = beta_recursion_parts(betas)
-    if parts is None:
-        factor = XPoly(2, {(1, 0): QT.one(), (0, 1): QT.one()})
-        return g == factor * binary_inversion_poly(betas[:-1])
-    r, alpha, gamma = parts
-    factor = XPoly(2, {(1, 1): QT.q(r) - QT.q(r - 1)})
-    return g - binary_inversion_poly(alpha) == factor * binary_inversion_poly(gamma)
-
-
 def test_criterion_05_descent_classes_and_recursion(criterion):
-    start = time.perf_counter()
-    rng = random.Random(SEED)
-    ok = True
-    for mu in shapes_up_to(5):
-        ok &= check_ribbon_factorization(mu, sum(mu))
-    for _ in range(8):
-        shapes = []
-        for _ in range(rng.randint(1, 3)):
-            length = rng.randint(1, 3)
-            des = {i for i in range(2, length + 1) if rng.random() < 0.5}
-            shapes.append(ribbon_from_descents(length, des))
-        shapes = tuple(shapes)
-        ok &= check_transpose_identity(shapes, 2)
-        ok &= check_transpose_schur(shapes, sum(s.size() for s in shapes))
-    for _ in range(200):
-        ok &= _beta_step_holds(_random_betas(rng, rng.randint(2, 10)))
-    criterion(
-        5,
+    suite_criterion(
+        criterion, 5,
         "descent classes equal ribbon tuples (sizes at most 5), transposition inverts q, and 200 two-variable recursions hold",
-        ok,
-        time.perf_counter() - start,
+        verify.suite_llt, n_max=5, samples=200, beta_len=10, seed=SEED,
     )
 
 
 def test_criterion_06_two_letter_coefficients(criterion):
-    start = time.perf_counter()
-    ok = True
-    for mu in shapes_up_to(6):
-        n = sum(mu)
-        ok &= one_minus_u_coeffs(mu) == elementary_coeffs(list(cell_biexponents(mu)))
-        vec = macdonald(mu).schur_vec
-        for d in range(n):
-            hook = (n - d,) + (1,) * d
-            ok &= vec.get(hook, QT.zero()) == hook_schur_coeff(mu, d)
-    criterion(
-        6,
+    suite_criterion(
+        criterion, 6,
         "two-letter coefficients are elementary functions of the cell monomials, hooks included, for sizes at most 6",
-        ok,
-        time.perf_counter() - start,
+        verify.suite_axioms, n_max=6,
     )
 
 
 def test_criterion_07_cocharge(criterion):
-    start = time.perf_counter()
-    ok = True
-    for mu in shapes_up_to(5):
-        try:
-            hall_littlewood_schur(mu)
-        except RuntimeError:
-            ok = False
-    rng = random.Random(SEED)
-    for _ in range(1000):
-        n = rng.randint(1, 6)
-        mu = rng.choice(partitions(n))
-        rows = [[rng.randint(1, 8) for _ in range(part)] for part in mu]
-        f = inv_zero_filling(mu, rows)
-        ok &= inv(f) == 0
-        ok &= maj(f) == cocharge(cocharge_word(f))
-    criterion(
-        7,
+    suite_criterion(
+        criterion, 7,
         "the q = 0 Schur column equals cocharge sums (sizes at most 5) and the major index matches cocharge on 1000 inversion-free fillings",
-        ok,
-        time.perf_counter() - start,
+        verify.suite_cocharge, n_max=5, samples=1000, seed=SEED,
     )
 
 
@@ -265,41 +196,28 @@ def test_criterion_08_integral_forms(criterion):
 
 
 def test_criterion_09_two_column_rule(criterion):
-    start = time.perf_counter()
-    ok = True
-    for mu in shapes_up_to(6):
-        if mu[0] > 2:
-            continue
-        vec = macdonald(mu).schur_vec
-        for lam in partitions(sum(mu)):
-            ok &= two_column_kostka(lam, mu) == vec.get(lam, QT.zero())
-        ok &= check_filling_operators(mu, 3)
-    ok &= all(
-        check_word_axioms(length, alphabet)
-        for length in range(1, 8)
-        for alphabet in range(2, 5)
-    )
-    ok &= check_recording_preserved(7, 4)
-    ok &= all(check_unique_yamanouchi(length, length) for length in range(1, 7))
-    criterion(
-        9,
+    suite_criterion(
+        criterion, 9,
         "two-column Yamanouchi sums equal Schur rows for sizes at most 6 and the crystal checks pass",
-        ok,
-        time.perf_counter() - start,
+        verify.suite_crystal, n_max=6, word_len=7, alphabet=4, yamanouchi_len=6,
     )
 
 
 def test_criterion_10_duality_positivity_counts(criterion):
-    start = time.perf_counter()
-    ok = True
-    for mu in shapes_up_to(5):
-        ok &= check_conjugate_duality(mu)
-        for lam, c in macdonald(mu).schur_vec.items():
-            ok &= c.is_polynomial() and c.has_nonnegative_coefficients()
-            ok &= c.sum_of_coefficients() == syt_count(lam)
-    criterion(
-        10,
+    suite_criterion(
+        criterion, 10,
         "conjugation swaps the parameters, coefficients lie in N[q,t], and q = t = 1 counts standard tableaux for sizes at most 5",
-        ok,
-        time.perf_counter() - start,
+        verify.suite_axioms, n_max=5,
     )
+
+
+def test_a_failing_suite_check_fails_its_criterion_by_label(criterion, monkeypatch):
+    # keep the forced failure out of the summary's verdict lines
+    monkeypatch.setattr(sys.modules[criterion.__module__], "CRITERION_LINES", [])
+    monkeypatch.setattr(verify, "check_recording_preserved", lambda word_len, alphabet: False)
+    with pytest.raises(AssertionError) as failure:
+        test_criterion_09_two_column_rule(criterion)
+    message = str(failure.value)
+    assert "[FAIL] criterion 9:" in message
+    assert "raising preserves the recording tableau (length 7, alphabet 4)" in message
+    assert "two-column Yamanouchi sums reproduce Schur coefficients" not in message

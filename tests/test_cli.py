@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from macpoly import cli
 from macpoly.cli import main
 from macpoly.macdonald import descent_class_poly, descent_class_weight, macdonald
 from macpoly.symfunc import from_m_basis
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -204,6 +207,14 @@ def test_bad_partition_is_a_usage_error(capsys):
         main(["hmu", "--mu", "1,2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, part", [("2,,1", ""), ("1e3", "1e3")])
+def test_a_part_that_is_not_an_integer_is_named(capsys, text, part):
+    with pytest.raises(SystemExit) as exc:
+        main(["hmu", "--mu", text])
+    assert exc.value.code == 2
+    assert f"part {part!r} of partition {text!r} is not an integer" in capsys.readouterr().err
 
 
 def test_kostka_table_text(capsys):
@@ -571,13 +582,20 @@ def test_version_flag(capsys):
     assert out.strip().startswith("macpoly ")
 
 
-def test_console_script_runs():
+def child_env() -> dict[str, str]:
+    """The inherited environment with src/ first on PYTHONPATH, so that a
+    child interpreter imports this checkout's macpoly, installed or not."""
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "macpoly.cli", "hmu", "--mu", "2"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "s[2] + q*s[1,1]"
@@ -593,7 +611,7 @@ def test_closed_stdout_exits_one_without_a_traceback():
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(os.environ),
+        env=child_env(),
     )
     assert proc.stdout.read(1) == b"{"
     proc.stdout.close()

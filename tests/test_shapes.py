@@ -38,6 +38,10 @@ def test_parse_and_format_round_trip():
     assert format_partition(()) == ""
     with pytest.raises(ValueError):
         parse_partition("2,3")
+    with pytest.raises(ValueError, match=r"part '' of partition '2,,1' is not an integer"):
+        parse_partition("2,,1")
+    with pytest.raises(ValueError, match=r"part '1e3' of partition '1e3' is not an integer"):
+        parse_partition("1e3")
     with pytest.raises(ValueError):
         check_partition((1, 0))
 
