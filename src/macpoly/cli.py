@@ -518,6 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-guard", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 
+    # each command reports usage errors through the subparser that took its arguments
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -525,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.fn(parser, args)
+        status = args.fn(args.parser, args)
         # flush here, so that a closed pipe raises inside this block
         sys.stdout.flush()
     except BrokenPipeError:

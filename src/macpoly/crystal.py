@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 from .fillings import Filling, shape_data, word_statistics
 from .qtring import QT
 from .shapes import Partition, check_partition
-from .symfunc import syt_count, tableau_reading_word
+from .symfunc import monomial_exponents, syt_count, tableau_reading_word
 
 Word = tuple[int, ...]
 
@@ -56,16 +56,6 @@ def crystal_lower(word: Iterable[int], i: int) -> Word | None:
         return None
     p = lowers[-1]
     return word[:p] + (i + 1,) + word[p + 1 :]
-
-
-def word_content(word: Iterable[int]) -> tuple[int, ...]:
-    """Letter multiplicities (c_1, c_2, ..., c_max)."""
-    word = tuple(word)
-    top = max(word, default=0)
-    counts = [0] * top
-    for x in word:
-        counts[x - 1] += 1
-    return tuple(counts)
 
 
 def is_yamanouchi(word: Iterable[int]) -> bool:
@@ -214,7 +204,7 @@ def check_word_axioms(length: int, alphabet: int) -> bool:
             if up is not None:
                 if crystal_lower(up, i) != word:
                     return False
-                c0, c1 = word_content(word + (alphabet,)), word_content(up + (alphabet,))
+                c0, c1 = monomial_exponents(word, alphabet), monomial_exponents(up, alphabet)
                 if c1[i - 1] != c0[i - 1] + 1 or c1[i] != c0[i] - 1:
                     return False
             down = crystal_lower(word, i)
@@ -244,7 +234,7 @@ def check_unique_yamanouchi(length: int, alphabet: int) -> bool:
         if len(yam) != 1:
             return False
         shape = tuple(len(r) for r in sorted(q, key=len, reverse=True))
-        if word_content(yam[0]) != shape:
+        if monomial_exponents(yam[0], max(yam[0], default=0)) != shape:
             return False
     return True
 

@@ -23,12 +23,12 @@ from .qtring import QT
 from .shapes import (
     Cell,
     Partition,
+    SkewShape,
     arm,
     attacks,
     cell_triples,
     check_partition,
     leg,
-    reading_cells,
 )
 
 ORDER1 = "interleaved"
@@ -92,7 +92,7 @@ class ShapeData(NamedTuple):
 @lru_cache(maxsize=None)
 def shape_data(mu: Partition) -> ShapeData:
     mu = check_partition(mu)
-    cells = reading_cells(mu)
+    cells = SkewShape(mu).cells()
     pos = {c: p for p, c in enumerate(cells)}
     row = tuple(i for (i, _) in cells)
     arms = tuple(arm(mu, c) for c in cells)

@@ -15,7 +15,8 @@ block by block under the semistandard placement rule and settles each
 inversion pair when its larger letter is placed. llt_super_poly hands the
 signed tuples (tuple_tableau_words) to the filling-sum kernel and is the DP's
 test oracle. Both read the tuple as a ShapeData of its crossings
-(crossing_data).
+(crossing_data). Each component's fillings come from the package's one
+tableau generator, symfunc.skew_super_tableaux.
 """
 
 from __future__ import annotations
@@ -32,20 +33,12 @@ from .fillings import (
     filling_sum,
     indicator,
     shape_data,
-    super_letters,
     xy_alphabet,
 )
 from .macdonald import content_m_vec, descent_class_polys
 from .qtring import QT
-from .shapes import (
-    Cell,
-    Partition,
-    SkewShape,
-    check_partition,
-    reading_cells,
-    ribbon_tuple,
-)
-from .symfunc import XPoly, from_m_basis, m_to_schur, omega_schur
+from .shapes import Cell, Partition, SkewShape, check_partition, ribbon_tuple
+from .symfunc import XPoly, from_m_basis, m_to_schur, omega_schur, skew_super_tableaux
 
 ShapeTuple = tuple[SkewShape, ...]
 
@@ -97,38 +90,6 @@ def crossing_data(td: TupleData) -> ShapeData:
 def tableau_inversions(word, td: TupleData, order: LetterOrder = ORDER1) -> int:
     """Inversions of an entry word aligned with the content reading order."""
     return sum(1 for p, p2 in td.inv_pairs if indicator(word[p], word[p2], order))
-
-
-def skew_super_tableaux(
-    shape: SkewShape, npos: int, nneg: int, order: LetterOrder = ORDER1
-) -> Iterator[tuple[int, ...]]:
-    """Signed semistandard fillings, entries aligned with shape.cells(): rows
-    and columns weakly increase in the order, equal row neighbours must be
-    plain, equal column neighbours barred. With nneg = 0 these are the
-    ordinary semistandard fillings by 1..npos."""
-    cells = shape.cells()
-    fill_order = sorted(cells)          # bottom to top guarantees neighbours exist
-    letters = super_letters(npos, nneg, order)
-    assign: dict[Cell, int] = {}
-
-    def walk(k: int) -> Iterator[tuple[int, ...]]:
-        if k == len(fill_order):
-            yield tuple(letters[assign[c]] for c in cells)
-            return
-        i, j = cell = fill_order[k]
-        lo = 0
-        left = assign.get((i, j - 1))
-        if left is not None:
-            lo = left if letters[left] > 0 else left + 1
-        below = assign.get((i - 1, j))
-        if below is not None:
-            lo = max(lo, below if letters[below] < 0 else below + 1)
-        for idx in range(lo, len(letters)):
-            assign[cell] = idx
-            yield from walk(k + 1)
-        assign.pop(cell, None)
-
-    yield from walk(0)
 
 
 def tuple_tableau_words(
@@ -192,7 +153,7 @@ def check_ribbon_factorization(mu: Partition, nvars: int) -> bool:
     D, compared as m-vectors; one content DP run gives every class."""
     mu = check_partition(mu)
     classes = descent_class_polys(mu, nvars)
-    upper = [c for c in reading_cells(mu) if c[0] >= 2]
+    upper = [c for c in SkewShape(mu).cells() if c[0] >= 2]
     return all(
         classes.get(frozenset(d), {}) == llt_m_vec(ribbon_tuple(mu, d), nvars)
         for k in range(len(upper) + 1)

@@ -57,13 +57,6 @@ def contains(mu: Partition, cell: Cell) -> bool:
     return 1 <= i <= len(mu) and 1 <= j <= mu[i - 1]
 
 
-def reading_cells(mu: Partition) -> tuple[Cell, ...]:
-    """All cells of the diagram in reading order (top row first)."""
-    return tuple(
-        (i, j) for i in range(len(mu), 0, -1) for j in range(1, mu[i - 1] + 1)
-    )
-
-
 def arm(mu: Partition, cell: Cell) -> int:
     """Number of cells strictly right of `cell` in its row."""
     i, j = cell

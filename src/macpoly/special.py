@@ -2,8 +2,10 @@
 
 The q = 0 face of the two-parameter family is computed along two independent
 routes (killing q in the Schur table, and summing t^cocharge over tableaux)
-that must agree; cocharge is one sweep over a word's standard subwords, with
-each letter's positions in an ascending list searched by bisection. The Jack
+that must agree. The tableaux of content mu come as reading words from
+symfunc.skew_super_tableaux, which skips a letter once its count is spent;
+cocharge is one sweep over a word's standard subwords, with each letter's
+positions in an ascending list searched by bisection. The Jack
 side realizes the integral form both directly as a weighted sum over
 non-attacking fillings of the conjugate diagram (the oracle) and through the
 signed-alphabet plethysm of the modified polynomial, whose signed sum the
@@ -24,14 +26,8 @@ from typing import Iterable, Sequence
 from .fillings import Filling, ShapeData, shape_data, word_statistics
 from .macdonald import content_m_vec, macdonald
 from .qtring import QT
-from .shapes import Partition, check_partition, conjugate, partitions, weighted_size
-from .symfunc import (
-    XPoly,
-    from_m_basis,
-    monomial_exponents,
-    ssyt_rows,
-    tableau_reading_word,
-)
+from .shapes import Partition, SkewShape, check_partition, conjugate, partitions, weighted_size
+from .symfunc import XPoly, from_m_basis, monomial_exponents, skew_super_tableaux
 
 
 def cocharge(word: Iterable[int]) -> int:
@@ -95,14 +91,14 @@ def inv_zero_filling(mu: Partition, row_multisets: Sequence[Iterable[int]]) -> F
 
 
 def cocharge_schur_vector(mu: Partition) -> dict[Partition, QT]:
-    """Sum of t^cocharge over semistandard tableaux of content mu, shape by shape."""
+    """Sum of t^cocharge over semistandard tableaux of content mu, shape by
+    shape; each tableau comes as its reading word."""
     mu = check_partition(mu)
-    n = sum(mu)
     out: dict[Partition, QT] = {}
-    for lam in partitions(n):
+    for lam in partitions(sum(mu)):
         terms: dict[tuple[int, int], int] = {}
-        for rows in ssyt_rows(lam, max(len(mu), 1), content=mu):
-            cc = cocharge(tableau_reading_word(rows))
+        for word in skew_super_tableaux(SkewShape(lam), len(mu), 0, content=mu):
+            cc = cocharge(word)
             terms[(0, cc)] = terms.get((0, cc), 0) + 1
         c = QT(terms)
         if c:

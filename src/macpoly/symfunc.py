@@ -4,6 +4,11 @@ Coefficients may be any exact ring value with +, *, == and truthiness (QT or
 plain int), so the same machinery serves the q,t world and the Jack parameter
 world, whose coefficients are QT values in q alone with q standing for alpha.
 Basis vectors are plain dicts keyed by partitions.
+
+skew_super_tableaux is the package's one semistandard-tableau generator:
+signed fillings of a skew shape, optionally of a prescribed content, each as
+its entries in reading order. LLT tuples, Schur polynomials and the cocharge
+route to the Hall-Littlewood column all walk it.
 """
 
 from __future__ import annotations
@@ -11,8 +16,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from .fillings import ORDER1, LetterOrder, super_letters
 from .qtring import QT
-from .shapes import Partition, check_partition, conjugate, partitions
+from .shapes import Partition, SkewShape, check_partition, conjugate, partitions
 
 Exponents = tuple[int, ...]
 
@@ -272,43 +278,59 @@ def omega_schur(s_vec: dict[Partition, object]) -> dict[Partition, object]:
     return {conjugate(check_partition(k)): c for k, c in s_vec.items() if c}
 
 
-def ssyt_rows(
-    lam: Partition, max_entry: int, content: Partition | None = None
-) -> Iterator[list[list[int]]]:
-    """Semistandard tableaux of straight shape lam, as rows bottom to top.
-
-    Rows weakly increase left to right and columns strictly increase upward.
-    When `content` is given only tableaux with that letter multiset appear.
-    """
-    lam = check_partition(lam)
-    cells = [(i, j) for i in range(1, len(lam) + 1) for j in range(1, lam[i - 1] + 1)]
-    rows = [[0] * p for p in lam]
-    remaining = None if content is None else list(content) + [0] * (max_entry - len(content))
-
-    def fill(k: int) -> Iterator[list[list[int]]]:
-        if k == len(cells):
-            yield [list(r) for r in rows]
-            return
-        i, j = cells[k]
-        lo = 1
-        if j > 1:
-            lo = max(lo, rows[i - 1][j - 2])
-        if i > 1:
-            lo = max(lo, rows[i - 2][j - 1] + 1)
-        for v in range(lo, max_entry + 1):
-            if remaining is not None:
-                if remaining[v - 1] == 0:
-                    continue
-                remaining[v - 1] -= 1
-            rows[i - 1][j - 1] = v
-            yield from fill(k + 1)
-            if remaining is not None:
-                remaining[v - 1] += 1
-        rows[i - 1][j - 1] = 0
-
-    if content is not None and (sum(content) != sum(lam) or len(content) > max_entry):
+def skew_super_tableaux(
+    shape: SkewShape,
+    npos: int,
+    nneg: int,
+    order: LetterOrder = ORDER1,
+    content: tuple[int, ...] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Signed semistandard fillings, entries aligned with shape.cells(): rows
+    and columns weakly increase in the order, equal row neighbours must be
+    plain, equal column neighbours barred. With nneg = 0 these are the
+    ordinary semistandard fillings by 1..npos; on a straight shape each is
+    the tableau's reading word, top row first. With `content` only the
+    fillings in which the plain letter k appears content[k-1] times (and no
+    other letter appears) are walked: a letter is skipped once its count is
+    spent."""
+    cells = shape.cells()
+    letters = super_letters(npos, nneg, order)
+    if content is None:
+        spare = [len(cells)] * len(letters)  # more than any filling spends
+    elif sum(content) != len(cells):
         return
-    yield from fill(0)
+    else:
+        spare = [content[x - 1] if 0 < x <= len(content) else 0 for x in letters]
+    # cells are filled bottom row first, so left and lower neighbours come
+    # earlier; each step holds its reading position and those neighbours' steps
+    fill_order = sorted(cells)
+    step = {c: k for k, c in enumerate(fill_order)}
+    pos = {c: p for p, c in enumerate(cells)}
+    plan = [(pos[i, j], step.get((i, j - 1), -1), step.get((i - 1, j), -1)) for i, j in fill_order]
+    placed = [0] * len(cells)           # the letter index chosen at each step
+    word = [0] * len(cells)
+
+    def walk(k: int) -> Iterator[tuple[int, ...]]:
+        if k == len(plan):
+            yield tuple(word)
+            return
+        p, left, below = plan[k]
+        lo = 0
+        if left >= 0:
+            x = placed[left]
+            lo = x if letters[x] > 0 else x + 1
+        if below >= 0:
+            x = placed[below]
+            lo = max(lo, x if letters[x] < 0 else x + 1)
+        for idx in range(lo, len(letters)):
+            if spare[idx]:
+                spare[idx] -= 1
+                placed[k] = idx
+                word[p] = letters[idx]
+                yield from walk(k + 1)
+                spare[idx] += 1
+
+    yield from walk(0)
 
 
 def tableau_reading_word(rows_bottom_up: list[list[int]]) -> tuple[int, ...]:
@@ -318,10 +340,9 @@ def tableau_reading_word(rows_bottom_up: list[list[int]]) -> tuple[int, ...]:
 
 def schur_in_x(lam: Partition, nvars: int) -> XPoly:
     """The Schur polynomial s_lam(x_1..x_nvars) by tableau enumeration."""
-    lam = check_partition(lam)
     acc: dict[Exponents, int] = {}
-    for rows in ssyt_rows(lam, nvars):
-        e = monomial_exponents([x for r in rows for x in r], nvars)
+    for word in skew_super_tableaux(SkewShape(lam), nvars, 0):
+        e = monomial_exponents(word, nvars)
         acc[e] = acc.get(e, 0) + 1
     return XPoly(nvars, {e: QT.term(c) for e, c in acc.items()})
 

@@ -327,6 +327,28 @@ def test_an_unusable_cache_directory_is_a_usage_error(tmp_path, capsys, monkeypa
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hmu", "--mu", "2,,1"],                          # _parse_mu
+        ["llt", "--mu", "8"],                             # _guard
+        ["kostka-table", "--n", "3", "--cache-dir", "{blocker}"],  # _cache_step
+        ["verify", "crystal", "--alphabet", "1"],         # a verify bound check
+    ],
+    ids=["parse", "guard", "cache", "verify-bound"],
+)
+def test_a_usage_error_shows_the_subcommand_usage(tmp_path, capsys, argv):
+    # a regular file is in the way of the cache directory
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(blocker=blocker) for a in argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"usage: macpoly {argv[0]} ")
+
+
 def test_kostka_table_workers_match_serial(capsys):
     code, serial, _ = run_cli(capsys, "kostka-table", "--n", "3", "--format", "json")
     assert code == 0

@@ -19,7 +19,6 @@ from macpoly.crystal import (
     rectify,
     rsk,
     two_column_kostka,
-    word_content,
     yamanouchi_words,
 )
 from macpoly.fillings import Filling, inv, maj, shape_data
@@ -56,11 +55,6 @@ def test_raise_and_lower_are_mutually_inverse():
             down = crystal_lower(word, i)
             if down is not None:
                 assert crystal_raise(down, i) == word
-
-
-def test_word_content():
-    assert word_content(()) == ()
-    assert word_content((2, 1, 2, 4)) == (1, 2, 0, 1)
 
 
 def test_is_yamanouchi():

@@ -157,6 +157,58 @@ def test_every_top_level_name_is_used_exported_wrapped_or_an_oracle():
     assert unused == sorted(ORACLES)
 
 
+def package_imports(sources: dict[str, str]) -> dict[str, set[str]]:
+    """{module: the modules of the package it imports}, read off its
+    `from .x import ...` statements; `from . import ...` names __init__."""
+    return {
+        module: {
+            node.module or "__init__"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+        for module, source in sources.items()
+    }
+
+
+def import_cycle(graph: dict[str, set[str]]) -> list[str]:
+    """One cycle of the graph as a path that ends where it starts, or []."""
+    done: set[str] = set()
+
+    def visit(module: str, path: list[str]) -> list[str]:
+        if module in path:
+            return path[path.index(module):] + [module]
+        if module in done:
+            return []
+        for target in sorted(graph.get(module, ())):
+            cycle = visit(target, path + [module])
+            if cycle:
+                return cycle
+        done.add(module)
+        return []
+
+    for module in sorted(graph):
+        cycle = visit(module, [])
+        if cycle:
+            return cycle
+    return []
+
+
+def test_the_layering_scan_finds_a_cycle():
+    sources = {"a": "from .b import f\n", "b": "from .c import g\n", "c": "from . import __version__\n"}
+    assert package_imports(sources) == {"a": {"b"}, "b": {"c"}, "c": {"__init__"}}
+    assert import_cycle(package_imports(sources)) == []
+    sources["c"] = "from .a import h\n"
+    assert import_cycle(package_imports(sources)) == ["a", "b", "c", "a"]
+
+
+def test_the_package_imports_are_layered():
+    # an acyclic graph lets any module be imported on its own, first
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    graph = package_imports(sources)
+    assert "fillings" in graph["symfunc"]  # the edge the tableau generator brought
+    assert import_cycle(graph) == []
+
+
 # pyproject.toml declares requires-python >= 3.10; this checks the grammar of
 # every source file against 3.10, not which library calls 3.10 provides
 MINIMUM_PYTHON = (3, 10)

@@ -34,7 +34,6 @@ from macpoly.qtring import QT
 from macpoly.shapes import (
     SkewShape,
     partitions,
-    reading_cells,
     ribbon_from_descents,
     ribbon_tuple,
 )
@@ -159,7 +158,7 @@ def ribbon_tuples(n_max):
     """Every ribbon tuple of every shape with at most n_max cells."""
     for n in range(n_max + 1):
         for mu in partitions(n):
-            upper = [c for c in reading_cells(mu) if c[0] >= 2]
+            upper = [c for c in SkewShape(mu).cells() if c[0] >= 2]
             for k in range(len(upper) + 1):
                 for d in combinations(upper, k):
                     yield mu, d, ribbon_tuple(mu, d)

@@ -19,7 +19,6 @@ from macpoly.shapes import (
     leg,
     parse_partition,
     partitions,
-    reading_cells,
     ribbon_descents,
     ribbon_from_descents,
     ribbon_tuple,
@@ -59,8 +58,8 @@ def test_conjugate_examples():
 
 
 def test_reading_order_runs_top_down():
-    assert reading_cells((2, 2)) == ((2, 1), (2, 2), (1, 1), (1, 2))
-    assert reading_cells(()) == ()
+    assert SkewShape((2, 2)).cells() == ((2, 1), (2, 2), (1, 1), (1, 2))
+    assert SkewShape(()).cells() == ()
 
 
 def test_arm_and_leg():

@@ -1,13 +1,13 @@
 """Polynomial container, Schur/monomial bases, and quasisymmetric pieces."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from macpoly.qtring import QT
-from macpoly.shapes import partitions
+from macpoly.shapes import SkewShape, partitions
 from macpoly.symfunc import (
     XPoly,
     from_m_basis,
@@ -18,7 +18,7 @@ from macpoly.symfunc import (
     qsym_q,
     schur_expand,
     schur_in_x,
-    ssyt_rows,
+    skew_super_tableaux,
     super_exponents,
     syt_count,
     tableau_reading_word,
@@ -127,11 +127,47 @@ def test_schur_in_x_has_the_eight_tableaux():
     assert to_m_basis(s21) == {(2, 1): QT.term(1), (1, 1, 1): QT.term(2)}
 
 
-def test_ssyt_rows_respects_content():
-    rows = list(ssyt_rows((2, 1), 3, content=(1, 1, 1)))
-    assert len(rows) == 2
-    assert [[1, 2], [3]] in rows and [[1, 3], [2]] in rows
+def test_skew_super_tableaux_respects_content():
+    # rows 1 2 / 3 and 1 3 / 2, bottom row first, read top row first
+    words = list(skew_super_tableaux(SkewShape((2, 1)), 3, 0, content=(1, 1, 1)))
+    assert sorted(words) == [(2, 1, 3), (3, 1, 2)]
     assert tableau_reading_word([[1, 2], [3]]) == (3, 1, 2)
+    # a content of the wrong size, or naming a letter past the alphabet, admits nothing
+    assert list(skew_super_tableaux(SkewShape((2, 1)), 3, 0, content=(1, 1))) == []
+    assert list(skew_super_tableaux(SkewShape((2, 1)), 2, 0, content=(1, 1, 1))) == []
+
+
+def contents(n: int, most: int):
+    """Every sequence of at most `most` nonnegative parts summing to n; a zero
+    part names a letter that the content leaves out."""
+    for k in range(most + 1):
+        yield from (c for c in product(range(n + 1), repeat=k) if sum(c) == n)
+
+
+def rows_of(word, lam):
+    """The rows of a tableau of straight shape lam, bottom row first, read
+    back from its reading word (top row first)."""
+    rows, end = [], len(word)
+    for part in lam:
+        rows.append(word[end - part:end])
+        end -= part
+    return rows
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_content_pruning_keeps_exactly_the_tableaux_of_that_content(n):
+    for lam in partitions(n):
+        unpruned = {k: list(skew_super_tableaux(SkewShape(lam), k, 0)) for k in range(5)}
+        for content in contents(n, 4):
+            k = len(content)
+            words = list(skew_super_tableaux(SkewShape(lam), k, 0, content=content))
+            assert words == [w for w in unpruned[k] if monomial_exponents(w, k) == content]
+            for w in words:
+                rows = rows_of(w, lam)
+                assert all(a <= b for row in rows for a, b in zip(row, row[1:])), (lam, w)
+                assert all(a < b for lo, hi in zip(rows, rows[1:]) for a, b in zip(lo, hi)), (lam, w)
+            # Kostka numbers do not depend on the order of the content
+            assert len(words) == kostka(lam, tuple(sorted(filter(None, content), reverse=True)))
 
 
 def test_schur_expand_inverts_schur_in_x():
