@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
-from .fillings import Filling, shape_data, word_statistics
+from .fillings import Filling, coded_statistics, letter_codes, shape_data
 from .qtring import QT
 from .shapes import Partition, check_partition
 from .symfunc import monomial_exponents, syt_count, tableau_reading_word
@@ -186,9 +186,10 @@ def two_column_kostka(lam: Partition, mu: Partition) -> QT:
     if mu and mu[0] > 2:
         raise ValueError(f"two-column rule needs mu with at most two columns: {mu}")
     sd = shape_data(mu)
+    code = letter_codes(range(1, len(lam) + 1)).__getitem__
     terms: dict[tuple[int, int], int] = {}
     for word in yamanouchi_words(lam):
-        maj, inv, _ = word_statistics(word, sd)
+        maj, inv, _ = coded_statistics(tuple(map(code, word)), sd)
         terms[(inv, maj)] = terms.get((inv, maj), 0) + 1
     return QT(terms)
 
@@ -247,8 +248,10 @@ def check_filling_operators(mu: Partition, max_entry: int) -> bool:
     pairs less the arms of the descents) mean equal inversion pairs."""
     mu = check_partition(mu)
     sd, _ = _two_column_data(mu)
+    code = letter_codes(range(1, max_entry + 1)).__getitem__
     for word in product(range(1, max_entry + 1), repeat=sum(mu)):
         f = Filling(mu, word)
+        statistics = coded_statistics(tuple(map(code, word)), sd)
         for i in range(1, max_entry):
             up_w = crystal_raise(word, i)
             up_f = filling_raise(f, i)
@@ -257,7 +260,7 @@ def check_filling_operators(mu: Partition, max_entry: int) -> bool:
             if up_f is not None:
                 if filling_lower(up_f, i) != f:
                     return False
-                if word_statistics(up_f.word, sd) != word_statistics(word, sd):
+                if coded_statistics(tuple(map(code, up_f.word)), sd) != statistics:
                     return False
                 if up_f.word != up_w and rectify(up_f.word) != rectify(up_w):
                     return False

@@ -10,7 +10,9 @@ written "k~" in text form. Two total orders on the signed alphabet matter:
 Any other total order can be supplied as a key callable. The comparison
 indicator I(x, y) is 1 when x > y, and also when x == y is barred; descents,
 inversions, the major index and the inversion statistic all derive from it
-through the reading order.
+through the reading order. Every sum reads its geometry from one ShapeData
+record (an LLT tuple's comes from llt.tuple_data), and coded_statistics is
+the one per-word loop: word_statistics codes a word by letter_codes for it.
 """
 
 from __future__ import annotations
@@ -74,7 +76,8 @@ def letter_codes(letters: Iterable[int], order: LetterOrder = ORDER1) -> dict[in
 
 
 class ShapeData(NamedTuple):
-    """Precomputed reading-order geometry of one partition diagram."""
+    """Precomputed reading-order geometry of one partition diagram, or of an
+    LLT tuple (llt.tuple_data), whose crossings are its attack_pairs."""
 
     mu: Partition
     cells: tuple[Cell, ...]
@@ -84,9 +87,6 @@ class ShapeData(NamedTuple):
     legs: tuple[int, ...]
     below: tuple[int, ...]          # position of the cell directly below, or -1
     attack_pairs: tuple[tuple[int, int], ...]   # positions p < p' that attack
-    bottom_pairs: tuple[tuple[int, int], ...]   # attack pairs inside row 1
-    triples: tuple[tuple[int, int, int], ...]   # (upper, below, right) positions
-    attack_adj: tuple[tuple[int, ...], ...]     # attack neighbours per position
 
 
 @lru_cache(maxsize=None)
@@ -102,16 +102,7 @@ def shape_data(mu: Partition) -> ShapeData:
     attack_pairs = tuple(
         (p, p2) for p in range(n) for p2 in range(p + 1, n) if attacks(cells[p], cells[p2])
     )
-    bottom_pairs = tuple((p, p2) for (p, p2) in attack_pairs if row[p] == 1 and row[p2] == 1)
-    triples = tuple((pos[u], pos[v], pos[w]) for (u, v, w) in cell_triples(mu))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for p, p2 in attack_pairs:
-        adj[p].append(p2)
-        adj[p2].append(p)
-    return ShapeData(
-        mu, cells, pos, row, arms, legs, below, attack_pairs, bottom_pairs, triples,
-        tuple(tuple(a) for a in adj),
-    )
+    return ShapeData(mu, cells, pos, row, arms, legs, below, attack_pairs)
 
 
 class Filling:
@@ -184,20 +175,10 @@ def word_statistics(
     word, sd: ShapeData, order: LetterOrder = ORDER1
 ) -> tuple[int, int, tuple[int, ...]]:
     """(maj, inv, descent positions) for a word of signed letters under the
-    given order, comparing by letter_key: the reference that coded_statistics
-    computes faster. On positive letters ORDER1 is plain >."""
-    keys = [letter_key(x, order) for x in word]
-    maj = inv = 0
-    descents = []
-    for p, (b, lg, a) in enumerate(zip(sd.below, sd.legs, sd.arms)):
-        if b >= 0 and (keys[p] > keys[b] or word[p] == word[b] < 0):
-            descents.append(p)
-            maj += lg + 1
-            inv -= a
-    for p, p2 in sd.attack_pairs:
-        if keys[p] > keys[p2] or word[p] == word[p2] < 0:
-            inv += 1
-    return maj, inv, tuple(descents)
+    given order, by coded_statistics on its letter_codes; an order that ties
+    two distinct letters of the word raises ValueError."""
+    codes = letter_codes(set(word), order)
+    return coded_statistics([codes[x] for x in word], sd)
 
 
 def coded_statistics(coded, sd: ShapeData) -> tuple[int, int, tuple[int, ...]]:
@@ -243,18 +224,21 @@ def attack_inversion_count(filling: Filling, order: LetterOrder = ORDER1) -> int
 
 
 def bottom_row_inversions(filling: Filling, order: LetterOrder = ORDER1) -> int:
+    """|Inv| inside the bottom row."""
     sd = shape_data(filling.shape)
     w = filling.word
-    return sum(1 for p, p2 in sd.bottom_pairs if indicator(w[p], w[p2], order))
+    return sum(
+        1 for p, p2 in sd.attack_pairs if sd.row[p] == sd.row[p2] == 1 and indicator(w[p], w[p2], order)
+    )
 
 
 def inversion_triples(filling: Filling, order: LetterOrder = ORDER1) -> int:
     """Triples (upper x, lower y, right z) with I(x,z) + I(z,y) - I(x,y) = 1."""
-    sd = shape_data(filling.shape)
+    pos = shape_data(filling.shape).pos
     w = filling.word
     count = 0
-    for pu, pv, pw in sd.triples:
-        x, y, z = w[pu], w[pv], w[pw]
+    for u, v, r in cell_triples(filling.shape):
+        x, y, z = w[pos[u]], w[pos[v]], w[pos[r]]
         if indicator(x, z, order) + indicator(z, y, order) - indicator(x, y, order) == 1:
             count += 1
     return count
@@ -336,7 +320,7 @@ def filling_sum(
     over alphabet), as {x exponent vector: nonzero coefficient}. A descent
     cell p adds sd.legs[p] + 1 to maj and takes sd.arms[p] from inv; callers
     may pass other cell weights through sd._replace, or other geometries
-    (the crossings of an LLT tuple, with no cell below another).
+    (llt.tuple_data: the crossings of an LLT tuple, no cell below another).
 
     Each filling is a word in reading order whose letters are coded by
     letter_codes, so that I(x, y) is the test x >= y | 1. The weights of a

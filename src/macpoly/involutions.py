@@ -32,11 +32,12 @@ from .fillings import (
     Cell,
     Filling,
     ShapeData,
+    abs_alphabet,
     filling_sum,
     shape_data,
     word_is_non_attacking,
 )
-from .macdonald import plethystic_alphabet, plethysm_q_minus_one, plethysm_t_minus_one
+from .macdonald import plethysm_q_minus_one, plethysm_t_minus_one, plethystic_weights
 from .shapes import Partition, check_partition
 from .symfunc import XPoly
 
@@ -66,12 +67,11 @@ def attack_pivot(word, sd: ShapeData) -> int | None:
     pair holding it, and the last cell before v that attacks v and holds it.
     None when no attacking pair has equal absolute values."""
     a = [abs(x) for x in word]
-    pairs = sd.attack_pairs
-    pivot = min((a[p] for p, p2 in pairs if a[p] == a[p2]), default=None)
-    if pivot is None:
+    equal = [(p, p2) for p, p2 in sd.attack_pairs if a[p] == a[p2]]
+    if not equal:
         return None
-    v = max(p2 for p, p2 in pairs if a[p] == pivot and a[p2] == pivot)
-    return max(p for p in sd.attack_adj[v] if p < v and a[p] == pivot)
+    pivot = min(a[p] for p, _ in equal)
+    return max((p2, p) for p, p2 in equal if a[p] == pivot)[1]
 
 
 def row_bound_pivot(word, sd: ShapeData) -> int | None:
@@ -115,7 +115,7 @@ def _signed_sums(
     sum does not depend on the letter order, so over npos == nneg letters it
     is the plethysm that the content DP gives."""
     sd = shape_data(check_partition(mu))
-    alphabet = plethystic_alphabet(npos, nneg, q_side)
+    alphabet = abs_alphabet(npos, nneg, *plethystic_weights(q_side))
     nvars = max(npos, nneg)
     if npos == nneg:
         total = (plethysm_q_minus_one if q_side else plethysm_t_minus_one)(sd.mu, nvars)

@@ -14,9 +14,10 @@ content DP per m_nu (fillings.content_filling_sum), which places the letters
 block by block under the semistandard placement rule and settles each
 inversion pair when its larger letter is placed. llt_super_poly hands the
 signed tuples (tuple_tableau_words) to the filling-sum kernel and is the DP's
-test oracle. Both read the tuple as a ShapeData of its crossings
-(crossing_data). Each component's fillings come from the package's one
-tableau generator, symfunc.skew_super_tableaux.
+test oracle. Both read the tuple as the fillings.ShapeData that tuple_data
+builds: its (component, cell) pairs in content reading order, its crossings
+as the attacking pairs, and no cell below another. Each component's fillings
+come from the package's one tableau generator, symfunc.skew_super_tableaux.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .fillings import (
     ORDER1,
@@ -32,78 +33,58 @@ from .fillings import (
     ShapeData,
     filling_sum,
     indicator,
-    shape_data,
     xy_alphabet,
 )
 from .macdonald import content_m_vec, descent_class_polys
 from .qtring import QT
-from .shapes import Cell, Partition, SkewShape, check_partition, ribbon_tuple
+from .shapes import Partition, SkewShape, check_partition, ribbon_tuple
 from .symfunc import XPoly, from_m_basis, m_to_schur, omega_schur, skew_super_tableaux
 
 ShapeTuple = tuple[SkewShape, ...]
 
 
-class TupleData(NamedTuple):
-    """Precomputed content-reading geometry of a tuple of skew shapes."""
-
-    shapes: ShapeTuple
-    cells: tuple[tuple[int, Cell], ...]     # (component, cell) sorted by beta
-    betas: tuple[Fraction, ...]
-    inv_pairs: tuple[tuple[int, int], ...]  # p < p' with 0 < dbeta < 1: the crossings
-    comp_positions: tuple[tuple[int, ...], ...]  # component reading order -> position
-
-
 @lru_cache(maxsize=None)
-def tuple_data(shapes: ShapeTuple) -> TupleData:
+def tuple_data(shapes: ShapeTuple) -> ShapeData:
+    """The tuple as the geometry the filling sums read: its (component, cell)
+    pairs in content reading order, its crossings (p < p' with
+    0 < beta(p') - beta(p) < 1) as the attacking pairs, no cell below
+    another, and no arms or legs."""
     k = len(shapes)
-    tagged = []
-    for ci, shape in enumerate(shapes):
-        for cell in shape.cells():
-            beta = Fraction(ci + 1, k) - SkewShape.content(cell)
-            tagged.append((beta, cell[0], ci, cell))
-    tagged.sort(key=lambda t: (t[0], t[1]))
+    tagged = sorted(
+        (Fraction(ci + 1, k) - SkewShape.content(cell), cell[0], ci, cell)
+        for ci, shape in enumerate(shapes)
+        for cell in shape.cells()
+    )
     cells = tuple((ci, cell) for _, _, ci, cell in tagged)
-    betas = tuple(t[0] for t in tagged)
     n = len(cells)
-    inv_pairs = tuple(
-        (p, p2)
-        for p in range(n)
-        for p2 in range(p + 1, n)
-        if 0 < betas[p2] - betas[p] < 1
+    crossings = tuple(
+        (p, p2) for p in range(n) for p2 in range(p + 1, n) if 0 < tagged[p2][0] - tagged[p][0] < 1
     )
-    pos = {(ci, cell): p for p, (ci, cell) in enumerate(cells)}
-    comp_positions = tuple(
-        tuple(pos[(ci, cell)] for cell in shape.cells()) for ci, shape in enumerate(shapes)
-    )
-    return TupleData(tuple(shapes), cells, betas, inv_pairs, comp_positions)
+    pos = {pair: p for p, pair in enumerate(cells)}
+    row = tuple(i for _, (i, _) in cells)
+    return ShapeData((), cells, pos, row, (0,) * n, (0,) * n, (-1,) * n, crossings)
 
 
-def crossing_data(td: TupleData) -> ShapeData:
-    """The tuple as the ShapeData fields the filling sums read: the crossings
-    stand for the attacking pairs, and no cell lies below another."""
-    n = len(td.cells)
-    return shape_data(())._replace(
-        cells=td.cells, attack_pairs=td.inv_pairs, below=(-1,) * n, arms=(0,) * n, legs=(0,) * n
-    )
-
-
-def tableau_inversions(word, td: TupleData, order: LetterOrder = ORDER1) -> int:
+def tableau_inversions(word, td: ShapeData, order: LetterOrder = ORDER1) -> int:
     """Inversions of an entry word aligned with the content reading order."""
-    return sum(1 for p, p2 in td.inv_pairs if indicator(word[p], word[p2], order))
+    return sum(1 for p, p2 in td.attack_pairs if indicator(word[p], word[p2], order))
 
 
 def tuple_tableau_words(
     shapes: ShapeTuple, npos: int, nneg: int, order: LetterOrder = ORDER1
 ) -> Iterator[tuple[int, ...]]:
     """Entry words (content reading order) of all signed semistandard tuples."""
-    td = tuple_data(tuple(shapes))
-    per_component = [list(skew_super_tableaux(s, npos, nneg, order)) for s in td.shapes]
+    shapes = tuple(shapes)
+    td = tuple_data(shapes)
+    per_component = [list(skew_super_tableaux(s, npos, nneg, order)) for s in shapes]
+    # each component's reading order -> position in the content reading order
+    slots = [[td.pos[(ci, cell)] for cell in s.cells()] for ci, s in enumerate(shapes)]
     n = len(td.cells)
     for combo in product(*per_component):
         word = [0] * n
-        for ci, entries in enumerate(combo):
-            for slot, p in zip(entries, td.comp_positions[ci]):
-                word[p] = slot
+        for entries, positions in zip(combo, slots):
+            for x, p in zip(entries, positions):
+                word[p] = x
         yield tuple(word)
 
 
@@ -116,12 +97,11 @@ def llt_m_vec(shapes: Iterable[SkewShape], nvars: int) -> dict[Partition, QT]:
     strict), and its left neighbour is filled or in the same block (rows are
     weak). There is no maj term."""
     td = tuple_data(tuple(shapes))
-    pos = {pair: p for p, pair in enumerate(td.cells)}
     rule = []
     for ci, (i, j) in td.cells:
-        lower, left = pos.get((ci, (i - 1, j))), pos.get((ci, (i, j - 1)))
+        lower, left = td.pos.get((ci, (i - 1, j))), td.pos.get((ci, (i, j - 1)))
         rule.append((0 if lower is None else 1 << lower, 0 if left is None else 1 << left))
-    return content_m_vec(crossing_data(td), nvars, (1, 0, 0), None, tuple(rule))
+    return content_m_vec(td, nvars, (1, 0, 0), None, tuple(rule))
 
 
 def llt_poly(shapes: Iterable[SkewShape], nvars: int) -> XPoly:
@@ -133,13 +113,12 @@ def llt_super_poly(
     shapes: Iterable[SkewShape], npos: int, nneg: int, order: LetterOrder = ORDER1
 ) -> XPoly:
     """Signed-alphabet LLT sum, x block then y block of variables: the
-    filling-sum kernel on the tuple's crossings (crossing_data), handed the
+    filling-sum kernel on the tuple's crossings (tuple_data), handed the
     signed semistandard tuples (tuple_tableau_words). Restricting the barred
     block to zero recovers the plain polynomial."""
     shapes = tuple(shapes)
-    sd = crossing_data(tuple_data(shapes))
     words = tuple_tableau_words(shapes, npos, nneg, order)
-    return XPoly(npos + nneg, filling_sum(sd, xy_alphabet(npos, nneg), order, words))
+    return XPoly(npos + nneg, filling_sum(tuple_data(shapes), xy_alphabet(npos, nneg), order, words))
 
 
 def transpose_tuple(shapes: Iterable[SkewShape]) -> ShapeTuple:
@@ -170,7 +149,7 @@ def check_transpose_identity(shapes: Iterable[SkewShape], nvars: int) -> bool:
     """Transposing the tuple matches the all-barred evaluation with q inverted
     and one q^crossings factor."""
     shapes = tuple(shapes)
-    m = len(tuple_data(shapes).inv_pairs)
+    m = len(tuple_data(shapes).attack_pairs)
     lhs = llt_poly(transpose_tuple(shapes), nvars)
     rhs = llt_super_poly(shapes, 0, nvars, ORDER1).map_coefficients(lambda c: _shift_q(c, m))
     return lhs == rhs
@@ -187,7 +166,7 @@ def check_transpose_schur(shapes: Iterable[SkewShape], nvars: int) -> bool:
         raise ValueError("need at least one variable per cell for Schur expansion")
     lhs = m_to_schur(llt_m_vec(transpose_tuple(shapes), n))
     rhs = m_to_schur(llt_m_vec(shapes, n))
-    return lhs == omega_schur({lam: _shift_q(c, len(td.inv_pairs)) for lam, c in rhs.items()})
+    return lhs == omega_schur({lam: _shift_q(c, len(td.attack_pairs)) for lam, c in rhs.items()})
 
 
 def binary_inversion_poly(betas: Iterable[Fraction]) -> XPoly:

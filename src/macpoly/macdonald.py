@@ -22,8 +22,6 @@ from .fillings import (
     ORDER1,
     LetterOrder,
     ShapeData,
-    Weight,
-    abs_alphabet,
     content_filling_sum,
     filling_sum,
     shape_data,
@@ -171,11 +169,6 @@ def plethystic_weights(q_side: bool) -> tuple[tuple[int, int, int], tuple[int, i
     return ((1, 1, 0) if q_side else (1, 0, 1)), (-1, 0, 0)
 
 
-def plethystic_alphabet(npos: int, nneg: int, q_side: bool) -> dict[int, Weight]:
-    """plethystic_weights on the letters 1..npos and 1~..nneg~."""
-    return abs_alphabet(npos, nneg, *plethystic_weights(q_side))
-
-
 def _signed_plethysm(mu: Partition, nvars: int, q_side: bool) -> XPoly:
     # the sum is symmetric, so its m-coefficients give it in any nvars
     sd = shape_data(check_partition(mu))
@@ -197,7 +190,7 @@ def hook_schur_coeff(mu: Partition, d: int) -> QT:
     function of the cell monomials with one copy of 1 removed."""
     mu = check_partition(mu)
     n = sum(mu)
-    if not 0 <= d <= max(n - 1, 0):
+    if not 0 <= d < n:
         raise ValueError(f"hook column length {d} out of range for n = {n}")
     monos = list(cell_biexponents(mu))
     monos.remove((0, 0))

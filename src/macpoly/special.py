@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from itertools import product
 from typing import Iterable, Sequence
 
-from .fillings import Filling, ShapeData, shape_data, word_statistics
+from .fillings import Filling, ShapeData, coded_statistics, letter_codes, shape_data
 from .macdonald import content_m_vec, macdonald
 from .qtring import QT
 from .shapes import Partition, SkewShape, check_partition, conjugate, partitions, weighted_size
@@ -160,9 +160,10 @@ def integral_form_in_x(mu: Partition, nvars: int) -> XPoly:
     sd = shape_data(conjugate(mu))
     nmu = weighted_size(mu)
     agree = [QT.one() - QT({(leg + 1, arm + 1): 1}) for leg, arm in zip(sd.legs, sd.arms)]
+    code = letter_codes(range(1, nvars + 1)).__getitem__
 
     def statistic(word) -> QT:
-        maj, inv, _ = word_statistics(word, sd)
+        maj, inv, _ = coded_statistics(tuple(map(code, word)), sd)
         return QT({(maj, nmu - inv): 1})
 
     return _non_attacking_sum(sd, nvars, agree, QT.one() - QT.t(), statistic)

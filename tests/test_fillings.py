@@ -103,6 +103,12 @@ def test_inv_decomposes_into_bottom_row_plus_triples():
             assert inv(f) == bottom_row_inversions(f) + inversion_triples(f)
 
 
+def scrambled(x: int) -> tuple:
+    """A total order on signed letters that is neither ORDER1 nor ORDER2, as
+    in tests/test_filling_sum.py."""
+    return (x % 3, -x)
+
+
 def test_word_statistics_follow_the_indicator_and_match_the_coded_statistics():
     # the definitions through I(x, y): the descents are the cells p above a
     # cell b with I(w_p, w_b) = 1; maj adds leg + 1 per descent, and inv counts
@@ -111,7 +117,7 @@ def test_word_statistics_follow_the_indicator_and_match_the_coded_statistics():
     for n in range(1, 5):
         for mu in partitions(n):
             sd = shape_data(mu)
-            for order in (ORDER1, ORDER2):
+            for order in (ORDER1, ORDER2, scrambled):
                 codes = letter_codes(letters, order)
                 for word in product(letters, repeat=n):
                     descents = tuple(

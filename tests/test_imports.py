@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module, and every
+"""Every name a library module imports is used in that module; every
 top-level function and class of the library, and every public method of a
 top-level class, is used, exported, wrapped by the benchmark's tracing shim,
 or kept as a named test oracle. A method counts as used where its name is an
 attribute outside its own body; exporting a class does not keep its methods.
+Every field of a NamedTuple is read as an attribute somewhere in the library.
 
 No linter ships with the project, so this scans the source with `ast`: a name
 bound by an import counts as used when it appears as a name anywhere in the
@@ -139,6 +140,44 @@ def test_the_scan_finds_an_unreferenced_method():
         "main()\n"
     )
     assert unreferenced({"a": source}) == ["a.Box.grow", "a.Box.total"]
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """The fields of every NamedTuple class, as module.Class.field, whose
+    name is read as an attribute nowhere in the sources: a field that only
+    its construction sets is one no code needs."""
+    read, fields = Counter(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read.update(
+            n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        )
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple" for base in top.bases
+            ):
+                fields += [
+                    f"{module}.{top.name}.{node.target.id}"
+                    for node in top.body
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                ]
+    return sorted(field for field in fields if not read[field.rsplit(".", 1)[1]])
+
+
+def test_the_scan_finds_an_unread_field():
+    # label is set by the constructor but never read; y is read once
+    source = (
+        "import typing\n\n"
+        "class Point(typing.NamedTuple):\n    x: int\n    y: int\n    label: str = ''\n\n"
+        "def shift(p):\n    return p._replace(x=p.y, label='moved')\n\n"
+        "ORIGIN = Point(0, 0, label='origin')\n"
+    )
+    assert unread_fields({"a": source}) == ["a.Point.label", "a.Point.x"]
+
+
+def test_every_named_tuple_field_is_read():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unread_fields(sources) == []
 
 
 def shim_wraps() -> list:

@@ -230,6 +230,15 @@ def test_letter_codes_refuse_a_tying_order():
         letter_codes((1, -1), abs)
 
 
+def test_the_filling_statistics_refuse_a_tying_order():
+    # maj, inv and descent_cells code their letters, so abs ties 2 and 2~
+    f = Filling((1, 1), (2, -2))
+    for statistic in (maj, inv, descent_cells):
+        with pytest.raises(ValueError, match="the letter order ties two distinct letters"):
+            statistic(f, abs)
+    assert maj(Filling((1, 1), (2, 2)), abs) == 0
+
+
 def involution_checks(monkeypatch, attribute, mutant, n_max=3) -> dict[str, bool]:
     """suite_involutions(n_max) with one of the suite's functions replaced,
     keyed by the first word of each check label."""
@@ -247,7 +256,7 @@ def attack_mutant(value=min, last_v=max, last_u=max):
             return None
         k = value(a[p] for p, _ in pairs)
         v = last_v(p2 for p, p2 in pairs if a[p] == k)
-        return last_u(p for p in sd.attack_adj[v] if p < v and a[p] == k)
+        return last_u(p for p, p2 in pairs if p2 == v and a[p] == k)
 
     return pivot
 

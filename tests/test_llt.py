@@ -46,8 +46,8 @@ DOMINO_COL = SkewShape((1, 1), ())
 
 def test_tuple_data_orders_cells_by_shifted_diagonal():
     td = tuple_data((CELL, CELL))
-    assert td.betas == (Fraction(1, 2), Fraction(1))
-    assert td.inv_pairs == ((0, 1),)
+    assert td.cells == ((0, (1, 1)), (1, (1, 1)))
+    assert td.attack_pairs == ((0, 1),)
 
 
 def test_two_single_cells_give_one_q():
@@ -170,6 +170,44 @@ def test_llt_dp_matches_the_tableau_sum_on_every_ribbon_tuple():
         for nvars in range(1, n + 1):
             assert llt_poly(shapes, nvars) == llt_super_poly(shapes, nvars, 0), (mu, d, nvars)
         assert llt_m_vec(shapes, n) == to_m_basis(llt_super_poly(shapes, max(n, 1), 0)), (mu, d)
+
+
+def assert_tuple_geometry(shapes):
+    """tuple_data against its definition: the (component, cell) pairs sorted
+    by (beta, row), beta = j/k - (i - j) for the cell (i, j) of component j
+    in a k-tuple; the crossings are the p < p' with 0 < beta' - beta < 1;
+    pos inverts cells, and no cell has a cell below it, an arm or a leg."""
+    k = len(shapes)
+
+    def beta(pair):
+        ci, (i, j) = pair
+        return Fraction(ci + 1, k) - (i - j)
+
+    cells = sorted(
+        ((ci, cell) for ci, shape in enumerate(shapes) for cell in shape.cells()),
+        key=lambda pair: (beta(pair), pair[1][0]),
+    )
+    n = len(cells)
+    td = tuple_data(shapes)
+    assert td.cells == tuple(cells), shapes
+    assert td.attack_pairs == tuple(
+        (p, p2) for p, p2 in combinations(range(n), 2) if 0 < beta(cells[p2]) - beta(cells[p]) < 1
+    ), shapes
+    assert td.pos == {pair: p for p, pair in enumerate(cells)}
+    assert td.row == tuple(i for _, (i, _) in cells)
+    assert td.below == (-1,) * n
+    assert td.arms == td.legs == (0,) * n
+
+
+def test_tuple_data_matches_its_definition_on_every_ribbon_tuple():
+    for _, _, shapes in ribbon_tuples(5):
+        assert_tuple_geometry(shapes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_tuples_and_nvars())
+def test_tuple_data_matches_its_definition_on_skew_tuples(case):
+    assert_tuple_geometry(case[0])
 
 
 def test_llt_symmetry_check_rejects_a_non_symmetric_expansion(monkeypatch):

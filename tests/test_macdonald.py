@@ -194,6 +194,9 @@ def test_hook_coefficients_drop_one_unit_cell():
     assert hook_schur_coeff((2, 1), 2) == QT.q() * QT.t()
     with pytest.raises(ValueError):
         hook_schur_coeff((2, 1), 3)
+    # no hook has size 0
+    with pytest.raises(ValueError, match="hook column length 0 out of range for n = 0"):
+        hook_schur_coeff((), 0)
 
 
 def test_hook_coefficients_agree_with_schur_rows():
