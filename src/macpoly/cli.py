@@ -46,7 +46,7 @@ from multiprocessing import Pool
 from . import __version__
 from .crystal import two_column_kostka
 from .llt import llt_m_vec
-from .macdonald import macdonald
+from .macdonald import kostka_column, macdonald
 from .qtring import QT
 from .shapes import (
     Partition,
@@ -184,27 +184,19 @@ def _cmd_hmu(parser, args) -> int:
     return 0
 
 
-def _kostka_column(mu: Partition) -> list:
-    vec = macdonald(mu).schur_vec
-    return [vec[lam].to_json() for lam in partitions(sum(mu))]
-
-
 def _compute_table(n: int, workers: int) -> dict:
     mus = partitions(n)
     workers = min(workers, len(mus), os.cpu_count() or 1)
     if workers > 1:
         with Pool(workers) as pool:
-            columns = pool.map(_kostka_column, mus)
+            columns = pool.map(kostka_column, mus)
     else:
-        columns = [_kostka_column(mu) for mu in mus]
-    table = [
-        [columns[j][i] for j in range(len(mus))] for i in range(len(mus))
-    ]
+        columns = map(kostka_column, mus)
     return {
         "schema": CACHE_SCHEMA,
         "n": n,
         "partitions": [list(mu) for mu in mus],
-        "table": table,
+        "table": [[c.to_json() for c in row] for row in zip(*columns)],
     }
 
 
@@ -247,26 +239,15 @@ def _cache_step(parser, path: str, step, *args, **kwargs) -> None:
 
 
 def _render_table_text(payload: dict) -> str:
-    mus = [tuple(p) for p in payload["partitions"]]
-    labels = [format_partition(mu) for mu in mus]
-    cells = [
-        [str(QT.from_json(entry)) for entry in row] for row in payload["table"]
+    labels = [format_partition(mu) for mu in payload["partitions"]]
+    grid = [["lambda \\ mu", *labels]] + [
+        [lam, *(str(QT.from_json(entry)) for entry in row)]
+        for lam, row in zip(labels, payload["table"])
     ]
-    corner = "lambda \\ mu"
-    widths = [max(len(corner), *(len(l) for l in labels))]
-    for j in range(len(mus)):
-        widths.append(max(len(labels[j]), *(len(row[j]) for row in cells)))
-    lines = []
-    header = [corner.ljust(widths[0])] + [
-        labels[j].ljust(widths[j + 1]) for j in range(len(mus))
-    ]
-    lines.append("  ".join(header).rstrip())
-    for i, lam in enumerate(labels):
-        row = [lam.ljust(widths[0])] + [
-            cells[i][j].ljust(widths[j + 1]) for j in range(len(mus))
-        ]
-        lines.append("  ".join(row).rstrip())
-    return "\n".join(lines)
+    widths = [max(map(len, column)) for column in zip(*grid)]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in grid
+    )
 
 
 def _cmd_kostka_table(parser, args) -> int:

@@ -12,7 +12,7 @@ indicator I(x, y) is 1 when x > y, and also when x == y is barred; descents,
 inversions, the major index and the inversion statistic all derive from it
 through the reading order. Every sum reads its geometry from one ShapeData
 record (an LLT tuple's comes from llt.tuple_data), and coded_statistics is
-the one per-word loop: word_statistics codes a word by letter_codes for it.
+the one per-word loop: every statistic codes its word by coded_word first.
 """
 
 from __future__ import annotations
@@ -62,12 +62,13 @@ def indicator(x: int, y: int, order: LetterOrder = ORDER1) -> int:
 def super_letters(npos: int, nneg: int, order: LetterOrder = ORDER1) -> tuple[int, ...]:
     """The alphabet {1..npos, -1..-nneg} sorted by the given order."""
     letters = list(range(1, npos + 1)) + [-i for i in range(1, nneg + 1)]
-    return tuple(sorted(letters, key=lambda x: letter_key(x, order)))
+    return tuple(letter_codes(letters, order))
 
 
 def letter_codes(letters: Iterable[int], order: LetterOrder = ORDER1) -> dict[int, int]:
     """{letter: code}, in the order, where the letter of rank r is coded 2r,
-    or 2r + 1 when barred, so that I(x, y) is the test code[x] >= code[y] | 1."""
+    or 2r + 1 when barred, so that I(x, y) is the test code[x] >= code[y] | 1.
+    An order that ties two distinct letters raises ValueError."""
     ranked = sorted(letters, key=lambda x: letter_key(x, order))
     keys = [letter_key(x, order) for x in ranked]
     if any(a == b for a, b in zip(keys, keys[1:])):
@@ -171,14 +172,20 @@ def parse_filling(text: str) -> Filling:
 # ---------------------------------------------------------------------------
 # word-level statistics
 
+def coded_word(word, order: LetterOrder = ORDER1) -> list[int]:
+    """The word's letters by the letter_codes of its distinct letters, so that
+    I is the test x >= y | 1 and an order that ties two of them raises."""
+    codes = letter_codes(set(word), order)
+    return [codes[x] for x in word]
+
+
 def word_statistics(
     word, sd: ShapeData, order: LetterOrder = ORDER1
 ) -> tuple[int, int, tuple[int, ...]]:
     """(maj, inv, descent positions) for a word of signed letters under the
     given order, by coded_statistics on its letter_codes; an order that ties
     two distinct letters of the word raises ValueError."""
-    codes = letter_codes(set(word), order)
-    return coded_statistics([codes[x] for x in word], sd)
+    return coded_statistics(coded_word(word, order), sd)
 
 
 def coded_statistics(coded, sd: ShapeData) -> tuple[int, int, tuple[int, ...]]:
@@ -218,28 +225,27 @@ def inv(filling: Filling, order: LetterOrder = ORDER1) -> int:
 
 def attack_inversion_count(filling: Filling, order: LetterOrder = ORDER1) -> int:
     """|Inv|: attacking pairs (in reading order) whose indicator is 1."""
-    sd = shape_data(filling.shape)
-    w = filling.word
-    return sum(1 for p, p2 in sd.attack_pairs if indicator(w[p], w[p2], order))
+    w = coded_word(filling.word, order)
+    return sum(1 for p, p2 in shape_data(filling.shape).attack_pairs if w[p] >= w[p2] | 1)
 
 
 def bottom_row_inversions(filling: Filling, order: LetterOrder = ORDER1) -> int:
     """|Inv| inside the bottom row."""
     sd = shape_data(filling.shape)
-    w = filling.word
+    w = coded_word(filling.word, order)
     return sum(
-        1 for p, p2 in sd.attack_pairs if sd.row[p] == sd.row[p2] == 1 and indicator(w[p], w[p2], order)
+        1 for p, p2 in sd.attack_pairs if sd.row[p] == sd.row[p2] == 1 and w[p] >= w[p2] | 1
     )
 
 
 def inversion_triples(filling: Filling, order: LetterOrder = ORDER1) -> int:
     """Triples (upper x, lower y, right z) with I(x,z) + I(z,y) - I(x,y) = 1."""
     pos = shape_data(filling.shape).pos
-    w = filling.word
+    w = coded_word(filling.word, order)
     count = 0
     for u, v, r in cell_triples(filling.shape):
         x, y, z = w[pos[u]], w[pos[v]], w[pos[r]]
-        if indicator(x, z, order) + indicator(z, y, order) - indicator(x, y, order) == 1:
+        if (x >= z | 1) + (z >= y | 1) - (x >= y | 1) == 1:
             count += 1
     return count
 
@@ -253,11 +259,9 @@ def word_is_non_attacking(word, sd: ShapeData) -> bool:
 def standardize_word(word, order: LetterOrder = ORDER1) -> tuple[int, ...]:
     """Rank the entries of a word into 1..n in the order: ties between equal
     positive letters break left to right, between equal barred letters right
-    to left."""
-    ranked = sorted(
-        range(len(word)),
-        key=lambda p: (letter_key(word[p], order), p if word[p] > 0 else -p),
-    )
+    to left. An order that ties two distinct letters raises ValueError."""
+    coded = coded_word(word, order)
+    ranked = sorted(range(len(word)), key=lambda p: (coded[p], p if word[p] > 0 else -p))
     out = [0] * len(word)
     for rank, p in enumerate(ranked, start=1):
         out[p] = rank

@@ -31,8 +31,8 @@ from .fillings import (
     ORDER1,
     LetterOrder,
     ShapeData,
+    coded_word,
     filling_sum,
-    indicator,
     xy_alphabet,
 )
 from .macdonald import content_m_vec, descent_class_polys
@@ -67,7 +67,8 @@ def tuple_data(shapes: ShapeTuple) -> ShapeData:
 
 def tableau_inversions(word, td: ShapeData, order: LetterOrder = ORDER1) -> int:
     """Inversions of an entry word aligned with the content reading order."""
-    return sum(1 for p, p2 in td.attack_pairs if indicator(word[p], word[p2], order))
+    coded = coded_word(word, order)
+    return sum(1 for p, p2 in td.attack_pairs if coded[p] >= coded[p2] | 1)
 
 
 def tuple_tableau_words(

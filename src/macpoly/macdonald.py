@@ -91,12 +91,17 @@ def macdonald(mu: Partition) -> MacdonaldResult:
     return _macdonald(check_partition(mu))
 
 
+def kostka_column(mu: Partition) -> list[QT]:
+    """The q,t-Kostka column of mu: its Schur coefficients on the rows
+    partitions(|mu|), zero where a row is missing."""
+    vec = macdonald(mu).schur_vec
+    return [vec.get(lam, QT.zero()) for lam in partitions(sum(mu))]
+
+
 def kostka_table(n: int) -> tuple[tuple[Partition, ...], list[list[QT]]]:
     """All q,t-Kostka entries for partitions of n: rows lam, columns mu."""
     parts = partitions(n)
-    columns = {mu: macdonald(mu).schur_vec for mu in parts}
-    matrix = [[columns[mu].get(lam, QT.zero()) for mu in parts] for lam in parts]
-    return parts, matrix
+    return parts, [list(row) for row in zip(*map(kostka_column, parts))]
 
 
 def super_macdonald_in_xy(

@@ -69,6 +69,9 @@ class QT:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant equals the int it is, so it hashes like that int
+        if self.terms.keys() <= {(0, 0)}:
+            return hash(self.terms.get((0, 0), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> QT:

@@ -349,12 +349,15 @@ def test_a_usage_error_shows_the_subcommand_usage(tmp_path, capsys, argv):
     assert out.err.startswith(f"usage: macpoly {argv[0]} ")
 
 
-def test_kostka_table_workers_match_serial(capsys):
-    code, serial, _ = run_cli(capsys, "kostka-table", "--n", "3", "--format", "json")
-    assert code == 0
+def test_kostka_table_workers_match_serial(capsys, monkeypatch):
+    # two CPUs on any host, so the columns and their QT values go through a
+    # real two-process pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     code, parallel, _ = run_cli(
-        capsys, "kostka-table", "--n", "3", "--format", "json", "--workers", "2"
+        capsys, "kostka-table", "--n", "5", "--format", "json", "--workers", "2"
     )
+    assert code == 0
+    code, serial, _ = run_cli(capsys, "kostka-table", "--n", "5", "--format", "json")
     assert code == 0
     assert parallel == serial
 

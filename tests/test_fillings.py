@@ -26,12 +26,14 @@ from macpoly.fillings import (
     parse_letter,
     shape_data,
     standardize,
+    standardize_word,
     super_fillings,
     super_letters,
     word_inverse_descent_set,
     word_is_non_attacking,
     word_statistics,
 )
+from macpoly.llt import tableau_inversions
 from macpoly.shapes import attacks, partitions
 
 EXAMPLE = Filling.from_rows([[6, 2], [2, 4, 8], [4, 4, 1, 3]])
@@ -135,6 +137,43 @@ def test_word_statistics_follow_the_indicator_and_match_the_coded_statistics():
                     )
                     assert word_statistics(word, sd, order) == expected
                     assert coded_statistics([codes[x] for x in word], sd) == expected
+
+
+def refuses(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
+def test_every_statistic_refuses_exactly_the_words_inv_refuses():
+    # abs ties k and k~, so inv refuses a word holding both; the oracles and
+    # standardization code the word's letters the same way and must agree
+    letters = super_letters(2, 2)
+    oracles = (
+        attack_inversion_count,
+        bottom_row_inversions,
+        inversion_triples,
+        lambda f, order: tableau_inversions(f.word, shape_data(f.shape), order),
+        lambda f, order: standardize_word(f.word, order),
+        standardize,
+    )
+    refused = 0
+    for n in range(1, 4):
+        for mu in partitions(n):
+            for word in product(letters, repeat=n):
+                f = Filling(mu, word)
+                for order in (abs, scrambled):
+                    expected = refuses(inv, f, order)
+                    refused += expected
+                    for oracle in oracles:
+                        assert refuses(oracle, f, order) == expected, (mu, word, order, oracle)
+    # abs refuses the words holding both 1 and 1~, or both 2 and 2~ (not all
+    # four letters at n <= 3); scrambled ties no two letters
+    assert refused == sum(
+        len(partitions(n)) * 2 * (4**n - 2 * 3**n + 2**n) for n in range(1, 4)
+    ) == 116
 
 
 def test_attack_pairs_agree_with_the_cell_predicate():

@@ -25,6 +25,7 @@ SOURCES = sorted((ROOT / "src" / "macpoly").glob("*.py"))
 # top-level names that no library code uses, each kept on purpose
 ORACLES = {
     "fillings.attack_inversion_count": "|Inv| by definition, checked against inv on the paper's example",
+    "fillings.indicator": "I(x, y) by definition, the oracle of the letter_codes test x >= y | 1",
     "fillings.bottom_row_inversions": "one half of inv's triple decomposition, checked on every small filling",
     "fillings.inversion_triples": "the other half of inv's triple decomposition",
     "fillings.word_inverse_descent_set": "the descent sets the standard filling sum is checked against",

@@ -59,6 +59,17 @@ def test_integer_coercion():
     assert QT.t(1) + 0 == QT.t(1)
 
 
+def test_a_constant_hashes_like_the_int_it_equals():
+    for c in (-3, -1, 0, 1, 2, 10**30):
+        assert QT.term(c) == c and hash(QT.term(c)) == hash(c)
+    assert hash(QT.zero()) == hash(0)
+    assert len({QT.one(), 1}) == 1
+    assert {QT.one(): "a"}.get(1) == "a"
+    assert {0: "z"}.get(QT.zero()) == "z"
+    # a term off the constant position equals no int
+    assert len({QT.q(), QT.t(), 1}) == 3
+
+
 def test_coefficient_lookup_and_sum():
     f = QT.term(2, 1, 0) + QT.term(-1, 0, 3)
     assert f.terms.get((1, 0), 0) == 2
