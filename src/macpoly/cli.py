@@ -1,30 +1,15 @@
 """Command line front end.
 
 Every computation sums over fillings or sets of cells, so sizes are guarded;
-the library itself takes any size. The guards follow the cost. The Schur and
-monomial vectors (hmu --basis schur|m, hall-littlewood, kostka-table, llt
---basis schur) come from a DP over the subsets of cells: a single shape is
-capped at 10 cells (about 1 s; about 0.6 s for llt, whose slowest tuple is
-ten single cells) and a table at n = 9 (about 7 s). hmu --basis x and llt
---basis x write that DP's monomial vector out term by term, and jmu and jack
-run the DP over a signed alphabet; these are capped at 7 cells (under 1 s).
-The write-outs of hmu, llt and jack --basis x are also capped at 10,000
-monomials, the C(vars + n - 1, n) that --vars allows (under 1 s as text or
-JSON at 7 cells). The term guard counts monomials, not bytes, so it does
-not replace the 7-cell cap: hmu --mu 4,3,2,1 --basis x --vars 7 passes it
-with 8,008 monomials yet writes 7.9 MB in about 3 s.
-verify is capped at n = 6: its signed sums, descent classes and symmetry
-check go through the same DP, and its exponential costs are the jack direct
-sum (n^n words) and the signed words of the involution checks (verify jack
---n-max 6 takes about 10 s, llt about 1.3 s, involutions about 1 s). Three
-counts that grow exponentially in other verify bounds have caps of their
-own: crystal's (word, operator) pairs at 2,000,000 (about 10 s at --alphabet
-4 --word-len 9), the (2 * alphabet)^n signed words per shape of involutions
-at 50,000 (about 6 s at --alphabet 3 --n-max 6) and the 2^len words per llt
-beta sequence at --beta-len 18 (about 3 s at 50 samples). A --beta-len above
-the 185 values the sampler draws from is refused even with --force-guard.
-two-column shares the single-shape cap; it walks only the f^lambda Yamanouchi
-words (at most 768 at 10 cells). --force-guard lifts a cap.
+the library itself takes any size. There is one cap per cost class: the
+subset DP on one shape (SHAPE_GUARD cells) or on every shape of a table
+(TABLE_GUARD), that DP written out in x or run over a signed alphabet
+(WORD_GUARD), the monomials written out in --vars variables (TERM_GUARD),
+verify's n (VERIFY_GUARD), and the verify counts that grow exponentially in
+other bounds (CRYSTAL_GUARD, INVOLUTION_GUARD, BETA_GUARD). README's "Size
+guards" table gives each cap's commands and the time at the cap.
+--force-guard lifts a cap; a --beta-len above the values the beta sampler
+draws from is refused even with it.
 kostka-table --workers N opens at most one process per column and per CPU.
 verify with one suite refuses a bound that suite does not take; verify all
 passes each suite the bounds it takes.

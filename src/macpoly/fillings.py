@@ -2,12 +2,13 @@
 
 A filling assigns a letter to every cell of a partition diagram. Letters are
 nonzero integers: k > 0 is the plain letter k and -k is its barred twin,
-written "k~" in text form. Two total orders on the signed alphabet matter:
+written "k~" in text form. A total order on the signed alphabet is a key
+function, letter -> sort key; two named orders matter:
 
   ORDER1 (interleaved):  1 < 1~ < 2 < 2~ < 3 < ...
-  ORDER2 (bars_on_top):  1 < 2 < 3 < ... < 3~ < 2~ < 1~
+  ORDER2 (bars on top):  1 < 2 < 3 < ... < 3~ < 2~ < 1~
 
-Any other total order can be supplied as a key callable. The comparison
+Any other total order can be supplied as its key function. The comparison
 indicator I(x, y) is 1 when x > y, and also when x == y is barred; descents,
 inversions, the major index and the inversion statistic all derive from it
 through the reading order. Every sum reads its geometry from one ShapeData
@@ -33,30 +34,26 @@ from .shapes import (
     leg,
 )
 
-ORDER1 = "interleaved"
-ORDER2 = "bars_on_top"
-
-LetterOrder = str | Callable[[int], tuple]
+LetterOrder = Callable[[int], tuple]
 # (v, sign, a, b): in a filling sum the letter stands for sign * q^a t^b x_(v+1)
 Weight = tuple[int, int, int, int]
 
 
-def letter_key(x: int, order: LetterOrder = ORDER1):
-    """Sort key realizing the chosen total order on signed letters."""
-    if callable(order):
-        return order(x)
-    if order == ORDER1:
-        return (x, 0) if x > 0 else (-x, 1)
-    if order == ORDER2:
-        return (0, x) if x > 0 else (1, x)
-    raise ValueError(f"unknown letter order: {order!r}")
+def ORDER1(x: int) -> tuple:
+    """Sort key of the interleaved order: 1 < 1~ < 2 < 2~ < ..."""
+    return (x, 0) if x > 0 else (-x, 1)
+
+
+def ORDER2(x: int) -> tuple:
+    """Sort key of the bars-on-top order: 1 < 2 < ... < 2~ < 1~."""
+    return (0, x) if x > 0 else (1, x)
 
 
 def indicator(x: int, y: int, order: LetterOrder = ORDER1) -> int:
     """I(x, y): 1 when x > y in the order, or x == y with both barred."""
     if x == y:
         return 1 if x < 0 else 0
-    return 1 if letter_key(x, order) > letter_key(y, order) else 0
+    return 1 if order(x) > order(y) else 0
 
 
 def super_letters(npos: int, nneg: int, order: LetterOrder = ORDER1) -> tuple[int, ...]:
@@ -69,8 +66,8 @@ def letter_codes(letters: Iterable[int], order: LetterOrder = ORDER1) -> dict[in
     """{letter: code}, in the order, where the letter of rank r is coded 2r,
     or 2r + 1 when barred, so that I(x, y) is the test code[x] >= code[y] | 1.
     An order that ties two distinct letters raises ValueError."""
-    ranked = sorted(letters, key=lambda x: letter_key(x, order))
-    keys = [letter_key(x, order) for x in ranked]
+    ranked = sorted(letters, key=order)
+    keys = [order(x) for x in ranked]
     if any(a == b for a, b in zip(keys, keys[1:])):
         raise ValueError("the letter order ties two distinct letters")
     return {x: 2 * r + (x < 0) for r, x in enumerate(ranked)}

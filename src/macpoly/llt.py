@@ -156,15 +156,13 @@ def check_transpose_identity(shapes: Iterable[SkewShape], nvars: int) -> bool:
     return lhs == rhs
 
 
-def check_transpose_schur(shapes: Iterable[SkewShape], nvars: int) -> bool:
+def check_transpose_schur(shapes: Iterable[SkewShape]) -> bool:
     """Schur expansion form of the transpose identity: conjugate the labels,
-    invert q, multiply by q^crossings. Both sides come from m-vectors, which
-    do not depend on nvars once it covers the cells."""
+    invert q, multiply by q^crossings. Both sides come from m-vectors in one
+    variable per cell."""
     shapes = tuple(shapes)
     td = tuple_data(shapes)
     n = len(td.cells)
-    if nvars < n:
-        raise ValueError("need at least one variable per cell for Schur expansion")
     lhs = m_to_schur(llt_m_vec(transpose_tuple(shapes), n))
     rhs = m_to_schur(llt_m_vec(shapes, n))
     return lhs == omega_schur({lam: _shift_q(c, len(td.attack_pairs)) for lam, c in rhs.items()})

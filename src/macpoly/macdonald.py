@@ -87,8 +87,10 @@ def _macdonald(mu: Partition) -> MacdonaldResult:
 
 
 def macdonald(mu: Partition) -> MacdonaldResult:
-    """Compute (and cache) the polynomial for mu."""
-    return _macdonald(check_partition(mu))
+    """Compute (and cache) the polynomial for mu. The vectors returned are
+    copies, so changing them leaves the cache as it was."""
+    res = _macdonald(check_partition(mu))
+    return MacdonaldResult(res.mu, dict(res.m_vec), dict(res.schur_vec))
 
 
 def kostka_column(mu: Partition) -> list[QT]:
@@ -159,7 +161,7 @@ def plethysm_q_minus_one(mu: Partition, nvars: int) -> XPoly:
 
 def plethysm_t_minus_one(mu: Partition, nvars: int) -> XPoly:
     """Signed sum (-1)^#barred q^inv t^(#plain+maj) x^|sigma| over signed
-    fillings in the bars_on_top order: the substitution X -> X(t-1).
+    fillings in the bars-on-top order: the substitution X -> X(t-1).
 
     It is computed in the interleaved order, like the q side: by HHL's
     superization the signed sum does not depend on the order chosen on the
@@ -186,7 +188,7 @@ def one_minus_u_coeffs(mu: Partition) -> list[QT]:
     sd = shape_data(check_partition(mu))
     n = len(sd.cells)
     # x_1 marks the plain entries and x_2 the barred ones
-    sums = filling_sum(sd, {1: (0, 1, 0, 0), -1: (1, 1, 0, 0)}, ORDER1)
+    sums = filling_sum(sd, xy_alphabet(1, 1), ORDER1)
     return [sums.get((n - d, d), QT.zero()) for d in range(n + 1)]
 
 

@@ -171,9 +171,6 @@ class SkewShape:
     def inner_at(self, i: int) -> int:
         return self.inner[i - 1] if i <= len(self.inner) else 0
 
-    def size(self) -> int:
-        return sum(self.outer) - sum(self.inner)
-
     def cells(self) -> tuple[Cell, ...]:
         """Cells in reading order (top row first, left to right)."""
         return tuple(

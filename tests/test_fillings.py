@@ -20,7 +20,6 @@ from macpoly.fillings import (
     inv,
     inversion_triples,
     letter_codes,
-    letter_key,
     maj,
     parse_filling,
     parse_letter,
@@ -43,8 +42,10 @@ SIGNED_EXAMPLE = Filling.from_rows([[6, -2], [-2, 4, -8], [-4, 4, 1, 3]])
 def test_letter_orders():
     assert super_letters(2, 2, ORDER1) == (1, -1, 2, -2)
     assert super_letters(3, 3, ORDER2) == (1, 2, 3, -3, -2, -1)
-    assert letter_key(2, ORDER1) > letter_key(-1, ORDER1)
-    assert letter_key(-1, ORDER2) > letter_key(3, ORDER2)
+    assert ORDER1(2) > ORDER1(-1)
+    assert ORDER2(-1) > ORDER2(3)
+    assert sorted([2, -2, 1, -1], key=ORDER1) == [1, -1, 2, -2]
+    assert sorted([2, -2, 1, -1], key=ORDER2) == [1, 2, -2, -1]
 
 
 def test_indicator_positive_letters():

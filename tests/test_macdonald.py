@@ -22,6 +22,7 @@ from macpoly.macdonald import (
 )
 from macpoly.qtring import QT, elementary_coeffs
 from macpoly.shapes import cell_biexponents, conjugate, partitions, weighted_size
+from macpoly.special import hall_littlewood_schur
 from macpoly.symfunc import XPoly, from_m_basis, schur_expand, to_m_basis
 
 
@@ -100,6 +101,21 @@ def test_kostka_table_n3_known_columns():
     assert col[(3,)] == [QT.one(), QT.q() + QT.q(2), QT.q(3)]
     assert col[(2, 1)] == [QT.one(), QT.q() + QT.t(), QT.q() * QT.t()]
     assert col[(1, 1, 1)] == [QT.one(), QT.t() + QT.t(2), QT.t(3)]
+
+
+def test_changing_a_returned_vector_leaves_the_cache_as_it_was():
+    res = macdonald((2, 1))
+    m_vec, schur_vec = dict(res.m_vec), dict(res.schur_vec)
+    table, hall_littlewood = kostka_table(3), hall_littlewood_schur((2, 1))
+    try:
+        res.m_vec.clear()
+        res.schur_vec.clear()
+        assert macdonald((2, 1)).m_vec == m_vec
+        assert macdonald((2, 1)).schur_vec == schur_vec
+        assert kostka_table(3) == table
+        assert hall_littlewood_schur((2, 1)) == hall_littlewood
+    finally:
+        _macdonald.cache_clear()
 
 
 def test_omega_inversion_of_the_kostka_tables():
