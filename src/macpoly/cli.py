@@ -5,12 +5,11 @@ the library itself takes any size. There is one cap per cost class: the
 subset DP on one shape (SHAPE_GUARD cells) or on every shape of a table
 (TABLE_GUARD), that DP written out in x or run over a signed alphabet
 (WORD_GUARD), the monomials written out in --vars variables (TERM_GUARD),
-verify's n (VERIFY_GUARD), and the verify counts that grow exponentially in
-other bounds (CRYSTAL_GUARD, INVOLUTION_GUARD, BETA_GUARD). README's "Size
-guards" table gives each cap's commands and the time at the cap.
---force-guard lifts a cap; a --beta-len above the values the beta sampler
-draws from is refused even with it.
+and verify's n (VERIFY_GUARD). README's "Size guards" table gives each cap's
+commands and the time at the cap. --force-guard lifts a cap.
 kostka-table --workers N opens at most one process per column and per CPU.
+verify takes --n-max and --samples; every other suite bound (alphabet, word
+and beta lengths, seed) is a library parameter that runs at its default.
 verify with one suite refuses a bound that suite does not take; verify all
 passes each suite the bounds it takes.
 Exit status is 0 on success, 1 when a verification suite reports a failure
@@ -42,7 +41,7 @@ from .shapes import (
 )
 from .special import hall_littlewood_schur, integral_form_m_vec, jack_alpha_m_vec
 from .symfunc import from_m_basis, m_to_schur
-from .verify import BETA_VALUES, SUITES, run_suite, suite_bounds
+from .verify import SUITES, run_suite, suite_bounds
 
 # size guards, one per cost class (see the module docstring)
 SHAPE_GUARD = 10
@@ -51,11 +50,6 @@ WORD_GUARD = 7
 VERIFY_GUARD = 6
 # cap on the monomials that --basis x writes out in --vars variables
 TERM_GUARD = 10_000
-# caps on the exponential verify counts (see the module docstring): pairs,
-# signed words per shape, and the beta length
-CRYSTAL_GUARD = 2_000_000
-INVOLUTION_GUARD = 50_000
-BETA_GUARD = 18
 CACHE_SCHEMA = 1
 CACHE_ENV = "MACPOLY_CACHE_DIR"
 
@@ -336,59 +330,14 @@ def _cmd_two_column(parser, args) -> int:
     return 0
 
 
-def _crystal_pairs(alphabet: int, word_len: int) -> int:
-    """The (word, operator) pairs verify crystal visits: each length up to
-    word_len over each alphabet 2..alphabet, then the recording check at
-    the top. Counting stops once the sum passes CRYSTAL_GUARD."""
-    total = 0
-    for length in range(1, word_len + 1):
-        for a in range(2, alphabet + 1):
-            total += a**length * (a - 1)
-            if total > CRYSTAL_GUARD:
-                return total
-    return total + alphabet**word_len * (alphabet - 1)
-
-
-def _guard_words(parser, name: str, bounds: dict, forced: bool) -> None:
-    """Refuse the bounds at which the named suite walks more words than its
-    cap; a bound left out takes the suite's default."""
-    if forced or name not in ("crystal", "involutions", "llt"):
-        return
-    b = {k: v if bounds.get(k) is None else bounds[k] for k, v in suite_bounds(name).items()}
-    if name == "crystal":
-        words = _crystal_pairs(b["alphabet"], b["word_len"])
-        cap, what = CRYSTAL_GUARD, "word and operator pairs"
-    elif name == "involutions":
-        words = (2 * b["alphabet"]) ** b["n_max"]
-        cap, what = INVOLUTION_GUARD, "signed words per shape"
-    else:
-        words = 2 ** b["beta_len"]
-        cap, what = 2**BETA_GUARD, "words per beta sequence"
-    if words > cap:
-        parser.error(
-            f"verify {name} would walk more than the guard of {cap} {what}; "
-            "pass --force-guard to proceed"
-        )
-
-
 def _cmd_verify(parser, args) -> int:
     if args.n_max is not None:
         _guard(parser, args.n_max, VERIFY_GUARD, args.force_guard)
-    # the crystal operators act on pairs of letters i, i + 1
-    if args.suite in ("crystal", "all") and args.alphabet is not None and args.alphabet < 2:
-        parser.error(f"argument --alphabet: the crystal suite needs at least 2, got {args.alphabet}")
     # below two cells no signed word has a pivot under either involution
     if args.suite in ("involutions", "all") and args.n_max is not None and args.n_max < 2:
         parser.error(f"argument --n-max: must be at least 2 for the involutions suite, got {args.n_max}")
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    bounds = {
-        "n_max": args.n_max,
-        "samples": args.samples,
-        "seed": args.seed,
-        "alphabet": args.alphabet,
-        "word_len": args.word_len,
-        "beta_len": args.beta_len,
-    }
+    bounds = {"n_max": args.n_max, "samples": args.samples}
     # every bound is taken by some suite; a single suite refuses the others
     if args.suite != "all":
         accepted = [b for b in bounds if b in suite_bounds(args.suite)]
@@ -396,13 +345,6 @@ def _cmd_verify(parser, args) -> int:
             if value is not None and bound not in accepted:
                 flags = ", ".join(_flag(b) for b in accepted)
                 parser.error(f"argument {_flag(bound)}: verify {args.suite} takes only {flags}")
-    if args.beta_len is not None and args.beta_len > len(BETA_VALUES):
-        parser.error(
-            f"argument --beta-len: the sampler draws from {len(BETA_VALUES)} distinct values, "
-            f"got {args.beta_len}"
-        )
-    for name in names:
-        _guard_words(parser, name, bounds, args.force_guard)
     failed = 0
     for name in names:
         for label, ok in run_suite(name, **bounds):
@@ -466,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_hall_littlewood)
 
     p = sub.add_parser("two-column", help="one Kostka coefficient by the Yamanouchi rule")
-    p.add_argument("--lam", "--lambda", dest="lam", required=True, help="row partition")
+    p.add_argument("--lam", required=True, help="row partition")
     p.add_argument("--mu", required=True, help="column partition, at most two columns")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--force-guard", action="store_true")
@@ -477,10 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     # each bound's least value that leaves its checks something to run
     p.add_argument("--n-max", type=_at_least(1), default=None)
     p.add_argument("--samples", type=_at_least(1), default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--alphabet", type=_at_least(1), default=None)
-    p.add_argument("--word-len", type=_at_least(1), default=None)
-    p.add_argument("--beta-len", type=_at_least(2), default=None)
     p.add_argument("--force-guard", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 
@@ -492,7 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # reported through the subcommand's parser, so its usage is shown
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         status = args.fn(args.parser, args)
         # flush here, so that a closed pipe raises inside this block

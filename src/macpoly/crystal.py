@@ -25,6 +25,8 @@ Word = tuple[int, ...]
 
 def _unmatched(word: Word, i: int) -> tuple[list[int], list[int]]:
     """Positions of unmatched letters i+1 and i, each list in reading order."""
+    if i < 1:
+        raise ValueError(f"crystal operators take i >= 1, got {i}")
     uppers: list[int] = []
     lowers: list[int] = []
     for p, x in enumerate(word):

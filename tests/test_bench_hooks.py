@@ -59,10 +59,7 @@ COUNTED = {
 
 
 def test_a_traced_verify_job_writes_its_spans(tmp_path):
-    spans = traced(
-        tmp_path, "verify", "verify", "all", "--n-max", "2", "--samples", "1",
-        "--beta-len", "2", "--word-len", "2", "--alphabet", "2",
-    )
+    spans = traced(tmp_path, "verify", "verify", "all", "--n-max", "2", "--samples", "1")
     assert "cli.main" in {span[0] for span in spans}
     assert COUNTED <= {span[0] for span in spans if span[4]}
 

@@ -44,6 +44,23 @@ def test_operators_return_none_at_the_ends():
     assert crystal_lower((1, 2), 1) == (2, 2)
 
 
+@pytest.mark.parametrize("i", [0, -1])
+@pytest.mark.parametrize(
+    "operator, argument",
+    [
+        (crystal_raise, (2, 1)),
+        (crystal_lower, (2, 1)),
+        (filling_raise, Filling((1, 1), (2, 1))),
+        (filling_lower, Filling((1, 1), (2, 1))),
+    ],
+    ids=["crystal_raise", "crystal_lower", "filling_raise", "filling_lower"],
+)
+def test_operators_refuse_an_index_below_one(operator, argument, i):
+    # there is no letter i = 0 to turn an i + 1 into
+    with pytest.raises(ValueError, match="i >= 1"):
+        operator(argument, i)
+
+
 def test_raise_and_lower_are_mutually_inverse():
     from itertools import product
 
