@@ -499,6 +499,9 @@ def test_verify_suite_passes(capsys):
     [
         ["verify", "axioms", "--n-max", "0"],
         ["verify", "llt", "--samples", "-1"],
+        ["verify", "llt", "--n-max", "0"],
+        ["verify", "cocharge", "--samples", "0"],
+        ["verify", "crystal", "--n-max", "0"],
         # below two cells no signed word has a pivot under either involution
         ["verify", "involutions", "--n-max", "1"],
         ["verify", "all", "--n-max", "1"],
